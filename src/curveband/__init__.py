@@ -12,6 +12,7 @@ from .grid_basis import (
     BasisMatrix,
     Grid,
     analyze,
+    basis_for,
     check_orthonormality,
     fourier_basis,
     haar_basis,
@@ -30,6 +31,7 @@ from .process_sim import (
     eval_signal,
     generate_panel,
     median_process_variance,
+    replicate_configs,
     sigma_k_theoretical,
     simulate_process,
 )
@@ -38,6 +40,7 @@ from .estimator import (
     MeanEstimate,
     SparsityReport,
     TheoreticalLevels,
+    fit,
     hard_threshold,
     least_squares,
     normal_quantile,
@@ -74,14 +77,15 @@ from .metrics_bench import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Grid", "BasisMatrix", "make_grid", "fourier_basis", "haar_basis",
+    "Grid", "BasisMatrix", "make_grid", "fourier_basis", "haar_basis", "basis_for",
     "analyze", "synthesize", "check_orthonormality",
     "SignalSpec", "ProcessSpec", "PanelConfig", "CurvePanel", "Calibration",
     "eval_signal", "covariance_kernel", "covariance_matrix", "simulate_process",
-    "median_process_variance", "calibrate", "generate_panel", "sigma_k_theoretical",
+    "median_process_variance", "calibrate", "generate_panel", "replicate_configs",
+    "sigma_k_theoretical",
     "CoefficientStats", "TheoreticalLevels", "MeanEstimate", "SparsityReport",
     "normal_quantile", "per_curve_coeffs", "pooled_stats", "theoretical_levels",
-    "hard_threshold", "soft_threshold", "least_squares", "truncated_target",
+    "hard_threshold", "soft_threshold", "least_squares", "fit", "truncated_target",
     "sparsity_report",
     "CandidateSpec", "SelectionResult", "split_panel", "empirical_risk", "select",
     "BAND_KINDS", "ConfidenceBand", "CoverageReport", "proposed_band",

@@ -28,12 +28,13 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BasisMatrix, analyze, fourier_basis, haar_basis
+from .grid_basis import BasisMatrix, analyze, basis_for
 from .process_sim import (
     PanelConfig,
     covariance_matrix,
     eval_signal,
     generate_panel,
+    replicate_configs,
     sigma_k_theoretical,
 )
 
@@ -69,8 +70,9 @@ class ConfidenceBand:
     alpha: float
 
     def __post_init__(self):
-        if np.any(self.half_width < 0.0):
-            raise ValueError("half_width must be nonnegative")
+        half = np.asarray(self.half_width, dtype=float)
+        if not np.all(np.isfinite(half) & (half >= 0.0)):
+            raise ValueError("half_width must be finite and nonnegative")
 
     @property
     def lower(self) -> np.ndarray:
@@ -171,7 +173,9 @@ def covers(band: ConfidenceBand, target: np.ndarray) -> bool:
     return bool(np.all((tgt >= band.lower) & (tgt <= band.upper)))
 
 
-def _build_band(kind, panel, basis, stats, config) -> ConfidenceBand:
+def _build_band(kind, basis, stats, process_var) -> ConfidenceBand:
+    """One band of the given kind; process_var, the known pointwise process
+    variance, is read by competitor_theoretical only."""
     if kind in ("proposed_hard1", "proposed_hard3"):
         est = hard_threshold(stats, basis, 1)
         return proposed_band(est, stats, basis, 1 if kind == "proposed_hard1" else 3)
@@ -183,7 +187,7 @@ def _build_band(kind, panel, basis, stats, config) -> ConfidenceBand:
         return untruncated_band(stats, est, basis)
     ls = least_squares(stats, basis)
     if kind == "competitor_theoretical":
-        v = np.diag(covariance_matrix(config.process, panel.grid))
+        v = process_var
     else:
         v = sample_variance_curves(stats.per_curve, basis)
     return competitor_band(ls.values, v, stats.n, basis.m, stats.alpha, kind=kind)
@@ -212,8 +216,7 @@ def coverage_experiment(
         raise ValueError(f"unknown target kind {target_kind!r}")
     if S < 1:
         raise ValueError("need at least one replicate")
-    builder = fourier_basis if basis_family == "fourier" else haar_basis
-    basis = builder(scenario.grid)
+    basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     if target_kind == "true_mean":
         target = f
@@ -222,17 +225,15 @@ def coverage_experiment(
         levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, basis.m, alpha, delta)
         mu = analyze(f, basis)
         _, target = truncated_target(mu, 2.0 * levels.r_bar, basis)
-    rep_seeds = np.random.SeedSequence(scenario.seed).generate_state(S, dtype=np.uint64)
+    process_var = None
+    if band_kind == "competitor_theoretical":
+        process_var = np.diag(covariance_matrix(scenario.process, scenario.grid))
     covered = 0
     width_sum = 0.0
-    for s in range(S):
-        cfg = PanelConfig(
-            n=scenario.n, grid=scenario.grid, signal=scenario.signal,
-            process=scenario.process, noise_sd=scenario.noise_sd, seed=int(rep_seeds[s]),
-        )
+    for cfg in replicate_configs(scenario, scenario.seed, S):
         panel = generate_panel(cfg, zero_process=zero_process)
         stats = pooled_stats(per_curve_coeffs(panel, basis), alpha, delta)
-        band = _build_band(band_kind, panel, basis, stats, cfg)
+        band = _build_band(band_kind, basis, stats, process_var)
         covered += covers(band, target)
         width_sum += float(np.mean(2.0 * band.half_width))
     notes = (LS_CENTER_NOTE,) if band_kind.startswith("competitor") else ()

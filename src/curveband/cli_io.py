@@ -5,7 +5,7 @@ following row one curve, every value rendered with 17 significant
 digits so files round-trip losslessly.  Every command writes a JSON
 sidecar (<out>.meta.json) echoing the exact configuration and seeds
 needed to regenerate its output.  Exit codes: 0 success, 1 invalid
-input or configuration, 2 I/O failure.
+input, configuration or command line, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,16 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from .bands import BAND_KINDS, _build_band
-from .estimator import (
-    hard_threshold,
-    least_squares,
-    per_curve_coeffs,
-    pooled_stats,
-    soft_threshold,
-    sparsity_report,
-    theoretical_levels,
-)
-from .grid_basis import Grid, fourier_basis, haar_basis, make_grid
+from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
+from .grid_basis import BASIS_FAMILIES, Grid, basis_for, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
 from .process_sim import (
     CurvePanel,
@@ -35,6 +27,7 @@ from .process_sim import (
     ProcessSpec,
     SignalSpec,
     calibrate,
+    covariance_matrix,
     generate_panel,
     sigma_k_theoretical,
 )
@@ -43,14 +36,6 @@ from .selector import CandidateSpec, select
 __all__ = ["main", "build_parser", "read_panel_csv", "write_panel_csv", "scenario_from_dict"]
 
 FMT = "%.17g"
-
-
-def _basis_builder(family: str):
-    if family == "fourier":
-        return fourier_basis
-    if family == "haar":
-        return haar_basis
-    raise ValueError(f"unknown basis family {family!r}")
 
 
 def signal_from_dict(d: dict) -> SignalSpec:
@@ -142,9 +127,7 @@ def _write_table_csv(path: str, header, columns):
             cells = []
             for c in cols:
                 v = c[j]
-                if isinstance(v, (bool, np.bool_)):
-                    cells.append(str(int(v)))
-                elif isinstance(v, (int, np.integer)):
+                if isinstance(v, (int, np.integer, np.bool_)):
                     cells.append(str(int(v)))
                 else:
                     cells.append(FMT % float(v))
@@ -187,30 +170,16 @@ def cmd_simulate(args) -> int:
         else:
             d["noise_sd"] = args.noise_sd
         cfg = panel_config_from_dict(d, seed_override=args.seed)
-    panel = generate_panel(cfg)
-    if args.format == "json":
-        _write_json(args.out, {"grid": list(panel.grid.points), "curves": panel.Y.tolist()})
-    else:
-        write_panel_csv(panel, args.out)
+    write_panel_csv(generate_panel(cfg), args.out)
     _write_meta(args.out, "simulate", _panel_echo(cfg))
     return 0
 
 
-def _fit_from_args(panel, args):
-    basis = _basis_builder(args.basis)(panel.grid)
-    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, args.delta)
-    if args.rule == "hard":
-        est = hard_threshold(stats, basis, args.multiplier)
-    elif args.rule == "soft":
-        est = soft_threshold(stats, basis, args.multiplier)
-    else:
-        est = least_squares(stats, basis)
-    return basis, stats, est
-
-
 def cmd_estimate(args) -> int:
     panel = read_panel_csv(args.panel)
-    basis, stats, est = _fit_from_args(panel, args)
+    basis = basis_for(args.basis, panel.grid)
+    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, args.delta)
+    est = fit(args.rule, stats, basis, args.multiplier)
     k = np.arange(1, basis.m + 1)
     # active column marks coefficients present in the estimate; under the
     # >= tie convention a zero coefficient with a zero level is not counted
@@ -260,17 +229,17 @@ def cmd_select(args) -> int:
 
 def cmd_band(args) -> int:
     panel = read_panel_csv(args.panel)
-    basis = _basis_builder(args.basis)(panel.grid)
+    basis = basis_for(args.basis, panel.grid)
     stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, args.delta)
-    process = None
+    process_var = None
     if args.kind == "competitor_theoretical":
         if not args.scenario:
             raise ValueError("competitor_theoretical needs --scenario for the process covariance")
         cfg = panel_config_from_dict(_load_json(args.scenario)["panel"])
         if cfg.grid.m != panel.grid.m:
             raise ValueError("scenario grid size does not match the stored panel")
-        process = cfg
-    band = _build_band(args.kind, panel, basis, stats, process)
+        process_var = np.diag(covariance_matrix(cfg.process, panel.grid))
+    band = _build_band(args.kind, basis, stats, process_var)
     j = np.arange(1, basis.m + 1)
     _write_table_csv(
         args.out,
@@ -286,7 +255,7 @@ def cmd_band(args) -> int:
 
 def cmd_sparsity(args) -> int:
     grid = make_grid(args.m)
-    basis = _basis_builder(args.basis)(grid)
+    basis = basis_for(args.basis, grid)
     signal = SignalSpec(kind=args.signal)
     process = ProcessSpec(kind=args.process)
     sigma_k = np.sqrt(sigma_k_theoretical(process, basis))
@@ -319,8 +288,6 @@ def _bench_csv_rows(report):
 
 
 def cmd_bench(args) -> int:
-    if not args.scenario:
-        raise ValueError("bench needs --scenario")
     scenario = scenario_from_dict(_load_json(args.scenario), seed_override=args.seed)
     if args.replicates is not None:
         scenario = replace(scenario, replicates=args.replicates)
@@ -334,11 +301,7 @@ def cmd_bench(args) -> int:
 
 
 def _add_common(p):
-    # default None: fall back to the seed stored in the scenario/panel config
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--scenario", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a noisy curve panel CSV")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="panel seed (default: the scenario's, else 0)")
+    p.add_argument("--scenario", default=None, help="scenario JSON whose panel block replaces the panel flags")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--signal", choices=("signal1", "signal2"), default="signal1")
@@ -364,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="threshold-estimate the mean from a panel CSV")
     _add_common(p)
     p.add_argument("--panel", required=True)
-    p.add_argument("--basis", choices=("fourier", "haar"), default="fourier")
-    p.add_argument("--rule", choices=("hard", "soft", "least_squares"), default="hard")
+    p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
+    p.add_argument("--rule", choices=RULES, default="hard")
     p.add_argument("--multiplier", type=float, default=1)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.0)
@@ -373,15 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="data-split selection among candidate estimators")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="split seed (default 0)")
+    p.add_argument("--scenario", default=None, help="scenario JSON whose estimators are the candidates")
     p.add_argument("--panel", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("band", help="build a uniform confidence band from a panel CSV")
     _add_common(p)
+    p.add_argument("--scenario", default=None, help="scenario JSON giving the process (competitor_theoretical)")
     p.add_argument("--panel", required=True)
     p.add_argument("--kind", choices=BAND_KINDS, default="proposed_hard1")
-    p.add_argument("--basis", choices=("fourier", "haar"), default="fourier")
+    p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.0)
     p.set_defaults(fn=cmd_band)
@@ -390,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--signal", choices=("signal1", "signal2"), default="signal1")
     p.add_argument("--process", choices=("bb", "bm", "ar1", "arima11"), default="bb")
-    p.add_argument("--basis", choices=("fourier", "haar"), default="fourier")
+    p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -400,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a scenario JSON and write report JSON + CSV")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="base seed (default: the scenario's)")
+    p.add_argument("--scenario", required=True)
     p.add_argument("--replicates", type=int, default=None)
     p.set_defaults(fn=cmd_bench)
 
@@ -407,8 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means an I/O failure here
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ValueError, RuntimeError, json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -10,7 +10,7 @@ and the truncated-target machinery.
 
 from __future__ import annotations
 
-import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +30,13 @@ __all__ = [
     "hard_threshold",
     "soft_threshold",
     "least_squares",
+    "fit",
     "truncated_target",
     "sparsity_report",
 ]
+
+
+RULES = ("hard", "soft", "least_squares")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +76,7 @@ class TheoreticalLevels:
 
 @dataclass(frozen=True, eq=False)
 class MeanEstimate:
-    rule: str  # "hard" | "soft" | "least_squares"
+    rule: str  # one of RULES
     level_multiplier: float
     coeffs: np.ndarray
     active: np.ndarray
@@ -81,57 +85,13 @@ class MeanEstimate:
     basis_family: str
 
 
-# Coefficients for the rational inverse-CDF approximation (central and
-# tail branches), accurate to ~1.2e-9 before refinement.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def _inv_cdf(p: float) -> float:
-    # lower-tail inverse of the standard normal CDF
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        return num / den
-    if p > p_high:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        return -num / den
-    q = p - 0.5
-    r = q * q
-    num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    return num / den
-
-
 def normal_quantile(p: float) -> float:
-    """Upper-tail standard normal quantile: P(N(0,1) > z) = p.
-
-    Rational approximation refined by Newton steps on the upper-tail CDF
-    written via erfc, which keeps full relative accuracy for small p.
-    """
+    """Upper-tail standard normal quantile: P(N(0,1) > z) = p."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"tail probability must be in (0,1), got {p}")
-    if p > 0.5:
-        # reflect so the erfc refinement always works on the small tail
-        return -normal_quantile(1.0 - p)
-    z = -_inv_cdf(p)
-    for _ in range(2):
-        upper = 0.5 * math.erfc(z / math.sqrt(2.0))
-        density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        if density == 0.0:
-            break
-        z += (upper - p) / density
-    return z
+    # negating the lower-tail quantile keeps full relative accuracy for
+    # small p, where inv_cdf(1 - p) would lose digits to the subtraction
+    return -statistics.NormalDist().inv_cdf(p)
 
 
 def per_curve_coeffs(panel: CurvePanel, basis: BasisMatrix) -> np.ndarray:
@@ -150,8 +110,8 @@ def pooled_stats(per_curve: np.ndarray, alpha: float, delta: float = 0.0) -> Coe
         raise ValueError("need n >= 2 curves for the coefficient sample SD")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not (np.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     mu_hat = pc.mean(axis=0)
     s_k = pc.std(axis=0, ddof=1)
     z = normal_quantile(alpha / (2.0 * m))
@@ -174,8 +134,9 @@ def theoretical_levels(
     sk = np.asarray(sigma_k, dtype=float)
     if sk.shape != (m,):
         raise ValueError(f"sigma_k must have length {m}")
-    if np.any(sk < 0.0) or sigma_eps < 0.0 or delta < 0.0:
-        raise ValueError("sigma_k, sigma_eps and delta must be nonnegative")
+    given = np.append(sk, (sigma_eps, delta))
+    if not np.all(np.isfinite(given) & (given >= 0.0)):
+        raise ValueError("sigma_k, sigma_eps and delta must be finite and nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     z = normal_quantile(alpha / (2.0 * m))
@@ -224,6 +185,17 @@ def least_squares(stats: CoefficientStats, basis: BasisMatrix) -> MeanEstimate:
         rule="least_squares", level_multiplier=1.0, coeffs=coeffs, active=active,
         values=synthesize(coeffs, basis), stats=stats, basis_family=basis.family,
     )
+
+
+def fit(rule: str, stats: CoefficientStats, basis: BasisMatrix, multiplier: float = 1) -> MeanEstimate:
+    """Mean estimate by the named rule; least squares ignores the multiplier."""
+    if rule == "hard":
+        return hard_threshold(stats, basis, multiplier)
+    if rule == "soft":
+        return soft_threshold(stats, basis, multiplier)
+    if rule == "least_squares":
+        return least_squares(stats, basis)
+    raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
 
 
 def truncated_target(mu: np.ndarray, levels: np.ndarray, basis: BasisMatrix):

@@ -18,10 +18,13 @@ __all__ = [
     "make_grid",
     "fourier_basis",
     "haar_basis",
+    "basis_for",
     "analyze",
     "synthesize",
     "check_orthonormality",
 ]
+
+BASIS_FAMILIES = ("fourier", "haar")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -71,10 +74,6 @@ class BasisMatrix:
     @property
     def m(self) -> int:
         return self.grid.m
-
-
-def same_grid(a: Grid, b: Grid) -> bool:
-    return a.m == b.m and np.array_equal(a.points, b.points)
 
 
 def make_grid(m: int) -> Grid:
@@ -127,6 +126,17 @@ def haar_basis(grid: Grid) -> BasisMatrix:
     values = np.column_stack(cols)
     sup_norms = np.max(np.abs(values), axis=0)
     return BasisMatrix(family="haar", grid=grid, values=values, sup_norms=sup_norms)
+
+
+def basis_for(family: str, grid: Grid) -> BasisMatrix:
+    """Build the named basis family on the grid; unknown names are an error."""
+    # builders are looked up as module globals at call time, never cached in
+    # a table, so a wrapper installed on a builder sees every build
+    if family == "fourier":
+        return fourier_basis(grid)
+    if family == "haar":
+        return haar_basis(grid)
+    raise ValueError(f"unknown basis family {family!r}; choose from {BASIS_FAMILIES}")
 
 
 def analyze(values: np.ndarray, basis: BasisMatrix) -> np.ndarray:

@@ -12,7 +12,7 @@ deterministic benchmark report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,17 +20,21 @@ from .bands import BAND_KINDS, LS_CENTER_NOTE, _build_band, covers
 from .estimator import (
     CoefficientStats,
     TheoreticalLevels,
-    hard_threshold,
-    least_squares,
+    fit,
     per_curve_coeffs,
     pooled_stats,
-    soft_threshold,
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import analyze, fourier_basis, haar_basis, synthesize
-from .process_sim import PanelConfig, eval_signal, generate_panel, sigma_k_theoretical
-from .selector import CandidateSpec
+from .grid_basis import BASIS_FAMILIES, analyze, basis_for, synthesize
+from .process_sim import (
+    PanelConfig,
+    covariance_matrix,
+    eval_signal,
+    generate_panel,
+    replicate_configs,
+    sigma_k_theoretical,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -67,7 +71,7 @@ class ScenarioConfig:
         for kind in self.bands:
             if kind not in BAND_KINDS:
                 raise ValueError(f"unknown band kind {kind!r}")
-        if self.band_basis_family not in ("fourier", "haar"):
+        if self.band_basis_family not in BASIS_FAMILIES:
             raise ValueError(f"unknown basis family {self.band_basis_family!r}")
 
 
@@ -134,9 +138,9 @@ def _truncation_keep(mu_true: np.ndarray, levels: TheoreticalLevels) -> np.ndarr
     return np.abs(np.asarray(mu_true, dtype=float)) >= levels.r_k
 
 
-def _thm12_check(rule_fn, panel, basis, levels, mu_true):
+def _thm12_check(rule, panel, basis, levels, mu_true):
     stats = pooled_stats(per_curve_coeffs(panel, basis), levels.alpha, levels.delta)
-    est = rule_fn(stats, basis, 2)
+    est = fit(rule, stats, basis, 2)
     _, target = truncated_target(mu_true, levels.r_k, basis)
     diff = est.values - target
     keep = _truncation_keep(mu_true, levels)
@@ -153,12 +157,12 @@ def oracle_check_thm1(panel, basis, levels: TheoreticalLevels, mu_true) -> tuple
     sup bound: 3 max_k sup|phi_k| * sum_k r_bar_k over |mu_k| >= r_k;
     L2 bound: 3 sqrt(sum r_bar_k^2 over the same set).
     """
-    return _thm12_check(hard_threshold, panel, basis, levels, mu_true)
+    return _thm12_check("hard", panel, basis, levels, mu_true)
 
 
 def oracle_check_thm2(panel, basis, levels: TheoreticalLevels, mu_true) -> tuple:
     """Soft-rule variant of oracle_check_thm1, same bounds."""
-    return _thm12_check(soft_threshold, panel, basis, levels, mu_true)
+    return _thm12_check("soft", panel, basis, levels, mu_true)
 
 
 def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourier", alpha: float = 0.05):
@@ -170,20 +174,14 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     """
     if S < 2:
         raise ValueError("need S >= 2 replicates for an MC standard error")
-    builder = fourier_basis if basis_family == "fourier" else haar_basis
-    basis = builder(scenario.grid)
+    basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     mu = analyze(f, basis)
     sigma_k = np.sqrt(sigma_k_theoretical(scenario.process, basis))
     levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, basis.m, alpha)
     _, target = truncated_target(mu, levels.r_k, basis)
-    rep_seeds = np.random.SeedSequence(scenario.seed).generate_state(S, dtype=np.uint64)
     errs = np.empty(S)
-    for s in range(S):
-        cfg = PanelConfig(
-            n=scenario.n, grid=scenario.grid, signal=scenario.signal,
-            process=scenario.process, noise_sd=scenario.noise_sd, seed=int(rep_seeds[s]),
-        )
+    for s, cfg in enumerate(replicate_configs(scenario, scenario.seed, S)):
         panel = generate_panel(cfg)
         mu_hat = per_curve_coeffs(panel, basis).mean(axis=0)
         coeffs = np.where(np.abs(mu_hat) >= 2.0 * levels.r_k, mu_hat, 0.0)
@@ -200,14 +198,6 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     return lhs, rhs, bool(ok)
 
 
-def _fit_candidate(cand: CandidateSpec, stats: CoefficientStats, basis):
-    if cand.rule == "hard":
-        return hard_threshold(stats, basis, cand.multiplier)
-    if cand.rule == "soft":
-        return soft_threshold(stats, basis, cand.multiplier)
-    return least_squares(stats, basis)
-
-
 def run_scenario(config: ScenarioConfig) -> BenchReport:
     """Run S replicates; score every estimator, band and enabled oracle check.
 
@@ -217,15 +207,11 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     """
     template = config.panel
     S = config.replicates
-    rep_seeds = np.random.SeedSequence(config.base_seed).generate_state(S, dtype=np.uint64)
+    configs = replicate_configs(template, config.base_seed, S)
     f = eval_signal(template.signal, template.grid)
 
-    families = {c.basis_family for c in config.estimators}
-    families.add(config.band_basis_family)
-    bases = {}
-    for fam in families:
-        builder = fourier_basis if fam == "fourier" else haar_basis
-        bases[fam] = builder(template.grid)
+    families = {c.basis_family for c in config.estimators} | {config.band_basis_family}
+    bases = {fam: basis_for(fam, template.grid) for fam in families}
 
     band_basis = bases[config.band_basis_family]
     mu_true = analyze(f, band_basis)
@@ -236,19 +222,17 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
             sigma_k, template.noise_sd, template.n, band_basis.m,
             config.oracle_alpha, config.oracle_delta,
         )
+    process_var = None
+    if "competitor_theoretical" in config.bands:
+        process_var = np.diag(covariance_matrix(template.process, template.grid))
 
     est_errs = np.empty((len(config.estimators), S))
     band_cov = np.zeros(len(config.bands), dtype=int)
     band_width = np.zeros(len(config.bands))
     oracle_hits = {"omega": 0, "thm1": 0, "thm2": 0}
 
-    for s in range(S):
-        seed = int(rep_seeds[s])
+    for s, cfg in enumerate(configs):
         try:
-            cfg = PanelConfig(
-                n=template.n, grid=template.grid, signal=template.signal,
-                process=template.process, noise_sd=template.noise_sd, seed=seed,
-            )
             panel = generate_panel(cfg)
             stats_cache = {}
 
@@ -259,12 +243,13 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
                 return stats_cache[key]
 
             for e, cand in enumerate(config.estimators):
-                est = _fit_candidate(cand, stats_for(cand.basis_family, cand.alpha), bases[cand.basis_family])
+                stats = stats_for(cand.basis_family, cand.alpha)
+                est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
                 est_errs[e, s] = np.mean((est.values - f) ** 2)
             if config.bands:
                 bstats = stats_for(config.band_basis_family, config.band_alpha)
                 for b, kind in enumerate(config.bands):
-                    band = _build_band(kind, panel, band_basis, bstats, cfg)
+                    band = _build_band(kind, band_basis, bstats, process_var)
                     band_cov[b] += covers(band, f)
                     band_width[b] += float(np.mean(2.0 * band.half_width))
             if config.oracle_checks:
@@ -275,13 +260,13 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
                 oracle_hits["thm1"] += s1 and l1
                 oracle_hits["thm2"] += s2 and l2
         except Exception as exc:
-            raise RuntimeError(f"replicate {s} failed (panel seed {seed}): {exc}") from exc
+            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
 
     pass_rates = {}
     provenance = {
         "base_seed": int(config.base_seed),
         "replicates": S,
-        "replicate_seeds_head": [int(x) for x in rep_seeds[:8]],
+        "replicate_seeds_head": [c.seed for c in configs[:8]],
         "panel": {
             "n": template.n, "m": template.grid.m,
             "signal": template.signal.kind, "process": template.process.kind,
@@ -295,11 +280,8 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     if config.oracle_checks:
         for tag in ("omega", "thm1", "thm2"):
             pass_rates[tag] = oracle_hits[tag] / S
-        thm3_cfg = PanelConfig(
-            n=template.n, grid=template.grid, signal=template.signal,
-            process=template.process, noise_sd=template.noise_sd, seed=int(config.base_seed),
-        )
-        lhs, rhs, ok = oracle_check_thm3(thm3_cfg, S, config.band_basis_family, config.oracle_alpha)
+        thm3_panel = replace(template, seed=int(config.base_seed))
+        lhs, rhs, ok = oracle_check_thm3(thm3_panel, S, config.band_basis_family, config.oracle_alpha)
         pass_rates["thm3"] = 1.0 if ok else 0.0
         provenance["thm3"] = {"lhs_mc": lhs, "rhs_bound": rhs}
         provenance["oracle_alpha"] = config.oracle_alpha

@@ -29,6 +29,7 @@ __all__ = [
     "median_process_variance",
     "calibrate",
     "generate_panel",
+    "replicate_configs",
     "sigma_k_theoretical",
 ]
 
@@ -93,8 +94,8 @@ class PanelConfig:
         # n >= 2 so the coefficient sample SD downstream is defined
         if self.n < 2:
             raise ValueError(f"panel needs n >= 2 curves, got {self.n}")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +247,8 @@ def calibrate(
     processes first get their innovation matched to the paired Brownian
     variance, so calibrated scenarios differ only in dependence structure.
     """
-    if sigma_star <= 0.0 or snr <= 0.0:
-        raise ValueError("sigma_star and snr must be positive")
+    if not (0.0 < sigma_star < np.inf and 0.0 < snr < np.inf):
+        raise ValueError("sigma_star and snr must be finite and positive")
     process = _match_innovation(process, grid)
     var_z = median_process_variance(process, grid)
     noise_sd = float(np.sqrt(var_z / sigma_star))
@@ -282,6 +283,16 @@ def generate_panel(config: PanelConfig, zero_process: bool = False) -> CurvePane
         eps = rng.normal(0.0, config.noise_sd, grid.m) if config.noise_sd > 0.0 else 0.0
         Y[i] = f + path + eps
     return CurvePanel(grid=grid, Y=Y, true_mean=f)
+
+
+def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
+    """S copies of template, copy r seeded with the r-th word derived from base_seed.
+
+    Every replicated experiment draws its panels from this list, so a
+    replicate can be rerun alone from the panel seed a report quotes.
+    """
+    seeds = np.random.SeedSequence(base_seed).generate_state(S, dtype=np.uint64)
+    return [replace(template, seed=int(seed)) for seed in seeds]
 
 
 def sigma_k_theoretical(process, basis: BasisMatrix) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import hard_threshold, least_squares, per_curve_coeffs, pooled_stats, soft_threshold
-from .grid_basis import fourier_basis, haar_basis
+from .estimator import RULES, fit, pooled_stats
+from .grid_basis import BASIS_FAMILIES, basis_for
 from .process_sim import CurvePanel
 
 __all__ = ["CandidateSpec", "SelectionResult", "split_panel", "empirical_risk", "select"]
@@ -22,14 +22,14 @@ __all__ = ["CandidateSpec", "SelectionResult", "split_panel", "empirical_risk", 
 @dataclass(frozen=True)
 class CandidateSpec:
     basis_family: str
-    rule: str  # "hard" | "soft" | "least_squares"
+    rule: str  # one of estimator.RULES
     multiplier: float = 1
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.basis_family not in ("fourier", "haar"):
+        if self.basis_family not in BASIS_FAMILIES:
             raise ValueError(f"unknown basis family {self.basis_family!r}")
-        if self.rule not in ("hard", "soft", "least_squares"):
+        if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.rule != "least_squares" and self.multiplier not in (1, 2):
             raise ValueError("multiplier must be 1 or 2 for thresholding rules")
@@ -76,23 +76,11 @@ def empirical_risk(panel: CurvePanel, indices: np.ndarray, g: np.ndarray) -> flo
     return float(np.mean((panel.Y[idx] - g) ** 2))
 
 
-def _fit(panel: CurvePanel, rows: np.ndarray, cand: CandidateSpec, basis) -> np.ndarray:
-    sub = panel.Y[rows]
-    stats = pooled_stats(sub @ basis.values / basis.m, cand.alpha)
-    if cand.rule == "hard":
-        return hard_threshold(stats, basis, cand.multiplier).values
-    if cand.rule == "soft":
-        return soft_threshold(stats, basis, cand.multiplier).values
-    return least_squares(stats, basis).values
-
-
-def select(panel: CurvePanel, candidates, seed: int, refit_full: bool = False) -> SelectionResult:
+def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
     """Fit every candidate on one half, pick the held-out risk minimizer.
 
     Haar candidates are skipped (with a recorded warning) when m is not a
     power of two; their risk slot is set to +inf so indices stay aligned.
-    refit_full additionally refits the winner on all n curves, which is a
-    convenience outside the single-split analysis.
     """
     candidates = list(candidates)
     if not candidates:
@@ -105,27 +93,24 @@ def select(panel: CurvePanel, candidates, seed: int, refit_full: bool = False) -
     for ell, cand in enumerate(candidates):
         if cand.basis_family not in bases:
             try:
-                builder = fourier_basis if cand.basis_family == "fourier" else haar_basis
-                bases[cand.basis_family] = builder(panel.grid)
+                bases[cand.basis_family] = basis_for(cand.basis_family, panel.grid)
             except ValueError as exc:
                 bases[cand.basis_family] = None
                 warnings.append(f"skipped {cand.basis_family} candidates: {exc}")
         basis = bases[cand.basis_family]
         if basis is None:
             continue
-        fits[ell] = _fit(panel, i1, cand, basis)
+        stats = pooled_stats(panel.Y[i1] @ basis.values / basis.m, cand.alpha)
+        fits[ell] = fit(cand.rule, stats, basis, cand.multiplier).values
         risks[ell] = empirical_risk(panel, i2, fits[ell])
     if not np.any(np.isfinite(risks)):
         raise ValueError("no candidate could be fit on this panel")
     winner_index = int(np.argmin(risks))
-    fitted = fits[winner_index]
-    if refit_full:
-        fitted = _fit(panel, np.arange(panel.n), candidates[winner_index], bases[candidates[winner_index].basis_family])
     return SelectionResult(
         winner=candidates[winner_index],
         winner_index=winner_index,
         risks=risks,
-        fitted_values=fitted,
+        fitted_values=fits[winner_index],
         split_seed=int(seed),
         i1_indices=i1,
         i2_indices=i2,

@@ -10,6 +10,7 @@ from curveband.process_sim import (
     PanelConfig,
     ProcessSpec,
     SignalSpec,
+    covariance_matrix,
     eval_signal,
     generate_panel,
     sigma_k_theoretical,
@@ -58,6 +59,10 @@ def test_band_bounds_and_validation():
     with pytest.raises(ValueError):
         ConfidenceBand(kind="proposed_hard1", center=np.zeros(2),
                        half_width=np.array([0.1, -0.1]), alpha=0.05)
+    for bad in [np.nan, np.inf]:
+        with pytest.raises(ValueError, match="half_width"):
+            ConfidenceBand(kind="proposed_hard1", center=np.zeros(2),
+                           half_width=np.array([0.1, bad]), alpha=0.05)
 
 
 def test_proposed_band_no_active_coefficients():
@@ -252,8 +257,32 @@ def test_coverage_experiment_validation_and_notes():
         coverage_experiment(cfg, "proposed_hard1", S=0)
     with pytest.raises(ValueError):
         coverage_experiment(cfg, "proposed_hard1", S=2, target_kind="oracle")
+    with pytest.raises(ValueError, match="unknown basis family"):
+        coverage_experiment(cfg, "proposed_hard1", S=2, basis_family="fourir")
     rep = coverage_experiment(cfg, "competitor_sample_var", S=3)
     assert any("least-squares" in note for note in rep.notes)
+
+
+def test_coverage_experiment_single_replicate_echo():
+    # recompute the lone replicate from the derived seed contract
+    g = make_grid(32)
+    cfg = PanelConfig(n=20, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
+                      noise_sd=0.2, seed=41)
+    seed = int(np.random.SeedSequence(cfg.seed).generate_state(1, dtype=np.uint64)[0])
+    panel = generate_panel(PanelConfig(n=cfg.n, grid=g, signal=cfg.signal, process=cfg.process,
+                                       noise_sd=cfg.noise_sd, seed=seed))
+    b = fourier_basis(g)
+    st = pooled_stats(per_curve_coeffs(panel, b), 0.05)
+    f = eval_signal(cfg.signal, g)
+    direct = {
+        "proposed_hard3": proposed_band(hard_threshold(st, b, 1), st, b, 3),
+        "competitor_theoretical": competitor_band(
+            least_squares(st, b).values, np.diag(covariance_matrix(cfg.process, g)), cfg.n, 32, 0.05),
+    }
+    for kind, band in direct.items():
+        rep = coverage_experiment(cfg, kind, S=1)
+        assert rep.covered_count == int(covers(band, f))
+        assert rep.mean_width == pytest.approx(float(np.mean(2.0 * band.half_width)), rel=1e-15)
 
 
 def test_coverage_experiment_truncated_target_route():

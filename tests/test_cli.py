@@ -252,6 +252,25 @@ def test_bench_requires_scenario(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+def test_usage_errors_exit1_and_help_exit0(tmp_path, capsys):
+    g = make_grid(8)
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 8))), str(ppath))
+    out = tmp_path / "x"
+    # flags a subcommand would ignore are usage errors, not silently accepted
+    assert _run("estimate", "--seed", 5, "--panel", ppath, "--out", out) == 1
+    assert _run("estimate", "--scenario", "s.json", "--panel", ppath, "--out", out) == 1
+    assert _run("sparsity", "--seed", 5, "--out", out) == 1
+    assert _run("simulate", "--format", "json", "--out", out) == 1
+    assert _run("estimate", "--bogus", "--panel", ppath, "--out", out) == 1
+    assert _run("estimate", "--panel", ppath) == 1  # --out missing
+    assert "usage" in capsys.readouterr().err
+    assert _run("band", "--panel", tmp_path / "nope.csv", "--out", out) == 2
+    assert _run("--help") == 0
+    assert _run("estimate", "--help") == 0
+    assert "--panel" in capsys.readouterr().out
+
+
 def test_invalid_panel_content_exit1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.25,0.75\n1.0,2.0\n")  # only one curve row

@@ -17,6 +17,7 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
+    fit,
     hard_threshold,
     least_squares,
     normal_quantile,
@@ -100,6 +101,9 @@ def test_pooled_validation():
         pooled_stats(np.zeros((3, 4)), alpha=1.5)
     with pytest.raises(ValueError):
         pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=-0.1)
+    for bad in [np.nan, np.inf]:
+        with pytest.raises(ValueError, match="delta"):
+            pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=bad)
 
 
 def test_normal_quantile_known_values():
@@ -129,6 +133,17 @@ def test_theoretical_levels_zero_inputs():
     lev = theoretical_levels(np.zeros(4), 0.0, n=100, m=4, alpha=0.05)
     assert np.all(lev.r_k == 0.0)
     assert np.all(lev.r_bar == 0.0)
+
+
+def test_theoretical_levels_rejects_nan_and_inf():
+    good = dict(sigma_k=np.full(4, 0.1), sigma_eps=0.2, n=10, m=4, alpha=0.05, delta=0.01)
+    theoretical_levels(**good)
+    for bad in [np.nan, np.inf, -0.1]:
+        for name in ["sigma_eps", "delta"]:
+            with pytest.raises(ValueError):
+                theoretical_levels(**{**good, name: bad})
+        with pytest.raises(ValueError):
+            theoretical_levels(**{**good, "sigma_k": np.array([0.1, bad, 0.1, 0.1])})
 
 
 def test_theoretical_levels_white_noise_arithmetic():
@@ -193,6 +208,19 @@ def test_threshold_rejects_bad_multiplier():
             hard_threshold(st, fourier_basis(g), mult)
         with pytest.raises(ValueError):
             soft_threshold(st, fourier_basis(g), mult)
+
+
+def test_fit_dispatches_each_rule_and_rejects_unknown():
+    g = make_grid(4)
+    b = fourier_basis(g)
+    st = _stats([1.0, -0.5, 0.05, 0.0], [0.1, 0.1, 0.1, 0.1])
+    for mult in [1, 2]:
+        assert_array_equal(fit("hard", st, b, mult).values, hard_threshold(st, b, mult).values)
+        assert_array_equal(fit("soft", st, b, mult).values, soft_threshold(st, b, mult).values)
+        assert_array_equal(fit("least_squares", st, b, mult).values, least_squares(st, b).values)
+    assert fit("soft", st, b).level_multiplier == 1.0
+    with pytest.raises(ValueError, match="unknown rule"):
+        fit("Hard", st, b)
 
 
 def test_hard_soft_gap_identity_on_dyadic_lattice():

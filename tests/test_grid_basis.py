@@ -6,6 +6,7 @@ from curveband.grid_basis import (
     BasisMatrix,
     Grid,
     analyze,
+    basis_for,
     check_orthonormality,
     fourier_basis,
     haar_basis,
@@ -104,6 +105,15 @@ def test_fourier_sup_norms_bounded():
     b = fourier_basis(make_grid(64))
     assert np.all(b.sup_norms <= np.sqrt(2.0) + 1e-15)
     assert_allclose(np.max(np.abs(b.values), axis=0), b.sup_norms)
+
+
+def test_basis_for_builds_named_family_and_rejects_unknown():
+    g = make_grid(8)
+    assert_array_equal(basis_for("fourier", g).values, fourier_basis(g).values)
+    assert_array_equal(basis_for("haar", g).values, haar_basis(g).values)
+    for name in ["fourir", "wavelet", "Haar", ""]:
+        with pytest.raises(ValueError, match="unknown basis family"):
+            basis_for(name, g)
 
 
 def test_analyze_constant_vector():

@@ -176,6 +176,8 @@ def test_thm3_full_scenario_reduced():
     assert ok
     with pytest.raises(ValueError):
         oracle_check_thm3(cfg, S=1)
+    with pytest.raises(ValueError, match="unknown basis family"):
+        oracle_check_thm3(cfg, S=2, basis_family="wavelet")
 
 
 def _scenario(n=30, m=32, S=5, seed=123, bands=(), oracle=False, noise_sd=0.25,

@@ -193,6 +193,11 @@ def test_calibrate_rejects_zero_range():
         calibrate(ProcessSpec(kind="bb"), g, 1.0, 2.0, SignalSpec(kind="signal1", c1=0.0, c2=0.0))
     with pytest.raises(ValueError):
         calibrate(ProcessSpec(kind="bb"), g, -1.0, 2.0, SignalSpec())
+    for bad in [np.nan, np.inf]:
+        with pytest.raises(ValueError):
+            calibrate(ProcessSpec(kind="bb"), g, bad, 2.0, SignalSpec())
+        with pytest.raises(ValueError):
+            calibrate(ProcessSpec(kind="bb"), g, 1.0, bad, SignalSpec())
 
 
 def test_generate_panel_degenerate_rows_equal_signal():
@@ -229,6 +234,9 @@ def test_panel_config_and_panel_validation():
     g = make_grid(4)
     with pytest.raises(ValueError):
         PanelConfig(n=1, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=0.1, seed=0)
+    for bad in [np.nan, np.inf, -0.1]:
+        with pytest.raises(ValueError, match="noise_sd"):
+            PanelConfig(n=2, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=bad, seed=0)
     with pytest.raises(ValueError):
         CurvePanel(grid=g, Y=np.ones((2, 3)))
     with pytest.raises(ValueError):

@@ -166,17 +166,6 @@ def test_select_refit_reproduces_fit_bitwise():
     assert_array_equal(hard_threshold(st, b, 1).values, res1.fitted_values)
 
 
-def test_select_refit_full_uses_all_curves():
-    p = _panel(n=10, seed=22)
-    cand = CandidateSpec("fourier", "hard", 1)
-    half = select(p, [cand], seed=3, refit_full=False)
-    full = select(p, [cand], seed=3, refit_full=True)
-    b = fourier_basis(p.grid)
-    st = pooled_stats(per_curve_coeffs(p, b), alpha=cand.alpha)
-    assert_array_equal(full.fitted_values, hard_threshold(st, b, 1).values)
-    assert full.winner_index == half.winner_index
-
-
 def test_select_skips_haar_on_bad_m():
     g = make_grid(12)
     cfg = PanelConfig(n=8, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
