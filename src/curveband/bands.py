@@ -19,12 +19,10 @@ import numpy as np
 from .estimator import (
     MeanEstimate,
     CoefficientStats,
-    hard_threshold,
-    least_squares,
+    fit,
     normal_quantile,
     per_curve_coeffs,
     pooled_stats,
-    soft_threshold,
     theoretical_levels,
     truncated_target,
 )
@@ -50,14 +48,14 @@ __all__ = [
     "coverage_experiment",
 ]
 
-BAND_KINDS = (
-    "proposed_hard1",
-    "proposed_hard3",
-    "proposed_soft2",
-    "untruncated_ls",
-    "competitor_theoretical",
-    "competitor_sample_var",
-)
+# Each proposed kind's center rule (fit at multiplier 1) and width multiplier.
+_PROPOSED_BANDS = {
+    "proposed_hard1": ("hard", 1),
+    "proposed_hard3": ("hard", 3),
+    "proposed_soft2": ("soft", 2),
+}
+
+BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", "competitor_theoretical", "competitor_sample_var")
 
 LS_CENTER_NOTE = "competitor bands centered at the pooled least-squares mean (kernel smoothing out of scope)"
 
@@ -115,16 +113,13 @@ def proposed_band(
     """
     if estimate.level_multiplier != 1:
         raise ValueError("proposed bands require a multiplier-1 center estimate")
-    if estimate.rule == "hard":
-        if width_multiplier not in (1, 3):
-            raise ValueError("hard-centered band takes width multiplier 1 or 3")
-        kind = "proposed_hard1" if width_multiplier == 1 else "proposed_hard3"
-    elif estimate.rule == "soft":
-        if width_multiplier != 2:
-            raise ValueError("soft-centered band takes width multiplier 2")
-        kind = "proposed_soft2"
-    else:
+    kinds = {width: kind for kind, (rule, width) in _PROPOSED_BANDS.items() if rule == estimate.rule}
+    if not kinds:
         raise ValueError(f"no proposed band for rule {estimate.rule!r}")
+    if width_multiplier not in kinds:
+        widths = " or ".join(map(str, kinds))
+        raise ValueError(f"{estimate.rule}-centered band takes width multiplier {widths}")
+    kind = kinds[width_multiplier]
     indicator = np.abs(stats.mu_hat) > stats.r_hat
     half = width_multiplier * (np.abs(basis.values) @ (stats.r_tilde * indicator))
     return ConfidenceBand(kind=kind, center=estimate.values, half_width=half, alpha=stats.alpha)
@@ -176,16 +171,12 @@ def covers(band: ConfidenceBand, target: np.ndarray) -> bool:
 def _build_band(kind, basis, stats, process_var) -> ConfidenceBand:
     """One band of the given kind; process_var, the known pointwise process
     variance, is read by competitor_theoretical only."""
-    if kind in ("proposed_hard1", "proposed_hard3"):
-        est = hard_threshold(stats, basis, 1)
-        return proposed_band(est, stats, basis, 1 if kind == "proposed_hard1" else 3)
-    if kind == "proposed_soft2":
-        est = soft_threshold(stats, basis, 1)
-        return proposed_band(est, stats, basis, 2)
+    if kind in _PROPOSED_BANDS:
+        rule, width = _PROPOSED_BANDS[kind]
+        return proposed_band(fit(rule, stats, basis), stats, basis, width)
     if kind == "untruncated_ls":
-        est = hard_threshold(stats, basis, 1)
-        return untruncated_band(stats, est, basis)
-    ls = least_squares(stats, basis)
+        return untruncated_band(stats, fit("hard", stats, basis), basis)
+    ls = fit("least_squares", stats, basis)
     if kind == "competitor_theoretical":
         v = process_var
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -36,6 +36,17 @@ from .selector import CandidateSpec, select
 __all__ = ["main", "build_parser", "read_panel_csv", "write_panel_csv", "scenario_from_dict"]
 
 FMT = "%.17g"
+
+# Keys a scenario JSON may hold, by block; signal, process and estimator
+# blocks are checked by the dataclasses they build.
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
+_PANEL_KEYS = {"n", "m", "signal", "process", "noise_sd", "calibration", "seed"}
+_CALIBRATION_KEYS = {"sigma_star", "snr"}
+
+# simulate's panel flags; they default to None so a given flag can be told
+# from an absent one, and absent ones take these values
+_SIMULATE_DEFAULTS = {"n": 100, "m": 64, "signal": "signal1", "process": "bb", "noise_sd": 0.1}
+_PANEL_FLAGS = (*_SIMULATE_DEFAULTS, "sigma_star", "snr", "ar_phi", "innovation_sd")
 
 
 def signal_from_dict(d: dict) -> SignalSpec:
@@ -91,9 +102,26 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     )
 
 
-def _load_json(path: str) -> dict:
+def _check_keys(block, known, where: str):
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; expected some of {sorted(known)}")
+
+
+def _load_scenario(path: str) -> dict:
+    """Scenario JSON whose top level, panel and calibration blocks hold no
+    key that the commands would ignore."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    _check_keys(d, _SCENARIO_KEYS, "scenario")
+    panel = d.get("panel", {})
+    _check_keys(panel, _PANEL_KEYS, "panel")
+    _check_keys(panel.get("calibration", {}), _CALIBRATION_KEYS, "calibration")
+    if "calibration" in panel and "noise_sd" in panel:
+        raise ValueError("panel gives both noise_sd and calibration; calibration derives noise_sd")
+    return d
 
 
 def _write_json(path: str, payload: dict):
@@ -121,17 +149,8 @@ def read_panel_csv(path: str) -> CurvePanel:
 
 def _write_table_csv(path: str, header, columns):
     cols = [np.asarray(c) for c in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for j in range(cols[0].shape[0]):
-            cells = []
-            for c in cols:
-                v = c[j]
-                if isinstance(v, (int, np.integer, np.bool_)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(FMT % float(v))
-            fh.write(",".join(cells) + "\n")
+    fmt = ["%d" if c.dtype.kind in "biu" else FMT for c in cols]
+    np.savetxt(path, np.column_stack(cols), fmt=fmt, delimiter=",", header=",".join(header), comments="")
 
 
 def _panel_echo(config: PanelConfig) -> dict:
@@ -153,12 +172,24 @@ def _panel_echo(config: PanelConfig) -> dict:
     }
 
 
+def _reject_given(args, dests, reason: str):
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} would be ignored: {reason}")
+
+
 def cmd_simulate(args) -> int:
     if args.scenario:
-        cfg = panel_config_from_dict(_load_json(args.scenario)["panel"], seed_override=args.seed)
+        _reject_given(args, _PANEL_FLAGS, "the --scenario panel block sets the panel")
+        cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"], seed_override=args.seed)
     else:
-        d = {"n": args.n, "m": args.m, "signal": {"kind": args.signal},
-             "process": {"kind": args.process}}
+        n, m, signal, process, noise_sd = (
+            default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, default in _SIMULATE_DEFAULTS.items()
+        )
+        if process in ("bb", "bm"):
+            _reject_given(args, ("ar_phi", "innovation_sd"), f"--process {process} has no AR parameters")
+        d = {"n": n, "m": m, "signal": {"kind": signal}, "process": {"kind": process}}
         if args.ar_phi is not None:
             d["process"]["ar_phi"] = args.ar_phi
         if args.innovation_sd is not None:
@@ -166,9 +197,10 @@ def cmd_simulate(args) -> int:
         if args.sigma_star is not None or args.snr is not None:
             if args.sigma_star is None or args.snr is None:
                 raise ValueError("calibration needs both --sigma-star and --snr")
+            _reject_given(args, ("noise_sd", "innovation_sd"), "calibration derives it from --sigma-star and --snr")
             d["calibration"] = {"sigma_star": args.sigma_star, "snr": args.snr}
         else:
-            d["noise_sd"] = args.noise_sd
+            d["noise_sd"] = noise_sd
         cfg = panel_config_from_dict(d, seed_override=args.seed)
     write_panel_csv(generate_panel(cfg), args.out)
     _write_meta(args.out, "simulate", _panel_echo(cfg))
@@ -205,12 +237,16 @@ def cmd_estimate(args) -> int:
 def cmd_select(args) -> int:
     panel = read_panel_csv(args.panel)
     if args.scenario:
-        cands = [CandidateSpec(**e) for e in _load_json(args.scenario)["estimators"]]
+        _reject_given(args, ("alpha",), "the --scenario candidates carry their own alpha")
+        cands = [CandidateSpec(**e) for e in _load_scenario(args.scenario)["estimators"]]
+        echo = {"scenario": args.scenario}
     else:
+        alpha = 0.05 if args.alpha is None else args.alpha
         cands = [
-            CandidateSpec(basis_family="fourier", rule="hard", multiplier=1, alpha=args.alpha),
-            CandidateSpec(basis_family="haar", rule="hard", multiplier=1, alpha=args.alpha),
+            CandidateSpec(basis_family="fourier", rule="hard", multiplier=1, alpha=alpha),
+            CandidateSpec(basis_family="haar", rule="hard", multiplier=1, alpha=alpha),
         ]
+        echo = {"alpha": alpha}
     split_seed = 0 if args.seed is None else args.seed
     result = select(panel, cands, split_seed)
     payload = {
@@ -221,13 +257,15 @@ def cmd_select(args) -> int:
         "i1_indices": result.i1_indices.tolist(),
         "i2_indices": result.i2_indices.tolist(),
         "warnings": list(result.warnings),
-        "config": {"panel": args.panel, "seed": split_seed, "alpha": args.alpha},
+        "config": {"panel": args.panel, "seed": split_seed, **echo},
     }
     _write_json(args.out, payload)
     return 0
 
 
 def cmd_band(args) -> int:
+    if args.scenario and args.kind != "competitor_theoretical":
+        raise ValueError(f"--scenario would be ignored: only competitor_theoretical reads it, not {args.kind}")
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
     stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, args.delta)
@@ -235,7 +273,7 @@ def cmd_band(args) -> int:
     if args.kind == "competitor_theoretical":
         if not args.scenario:
             raise ValueError("competitor_theoretical needs --scenario for the process covariance")
-        cfg = panel_config_from_dict(_load_json(args.scenario)["panel"])
+        cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"])
         if cfg.grid.m != panel.grid.m:
             raise ValueError("scenario grid size does not match the stored panel")
         process_var = np.diag(covariance_matrix(cfg.process, panel.grid))
@@ -288,7 +326,7 @@ def _bench_csv_rows(report):
 
 
 def cmd_bench(args) -> int:
-    scenario = scenario_from_dict(_load_json(args.scenario), seed_override=args.seed)
+    scenario = scenario_from_dict(_load_scenario(args.scenario), seed_override=args.seed)
     if args.replicates is not None:
         scenario = replace(scenario, replicates=args.replicates)
     report = run_scenario(scenario)
@@ -314,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a noisy curve panel CSV")
     _add_common(p)
     p.add_argument("--seed", type=int, default=None, help="panel seed (default: the scenario's, else 0)")
-    p.add_argument("--scenario", default=None, help="scenario JSON whose panel block replaces the panel flags")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--signal", choices=("signal1", "signal2"), default="signal1")
-    p.add_argument("--process", choices=("bb", "bm", "ar1", "arima11"), default="bb")
-    p.add_argument("--noise-sd", type=float, default=0.1)
+    p.add_argument("--scenario", default=None, help="scenario JSON whose panel block sets the panel; no panel flags with it")
+    p.add_argument("--n", type=int, default=None, help="curves (default 100)")
+    p.add_argument("--m", type=int, default=None, help="grid points (default 64)")
+    p.add_argument("--signal", choices=("signal1", "signal2"), default=None, help="default signal1")
+    p.add_argument("--process", choices=("bb", "bm", "ar1", "arima11"), default=None, help="default bb")
+    p.add_argument("--noise-sd", type=float, default=None, help="default 0.1; not with calibration")
     p.add_argument("--sigma-star", type=float, default=None)
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--ar-phi", type=float, default=None)
@@ -341,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="split seed (default 0)")
     p.add_argument("--scenario", default=None, help="scenario JSON whose estimators are the candidates")
     p.add_argument("--panel", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=None, help="candidates' alpha (default 0.05); not with --scenario")
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("band", help="build a uniform confidence band from a panel CSV")

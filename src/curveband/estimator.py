@@ -61,8 +61,8 @@ class CoefficientStats:
 class TheoreticalLevels:
     """Population levels r_k and r_bar_k from a known covariance.
 
-    alpha/delta/n are kept so simulation checks can rebuild matching
-    data-driven statistics from a fresh panel.
+    alpha/delta/n are kept so the simulation checks can reject data-driven
+    statistics pooled at another n, alpha or delta than these levels.
     """
 
     sigma_k: np.ndarray

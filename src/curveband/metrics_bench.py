@@ -26,7 +26,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BASIS_FAMILIES, analyze, basis_for, synthesize
+from .grid_basis import BASIS_FAMILIES, analyze, basis_for
 from .process_sim import (
     PanelConfig,
     covariance_matrix,
@@ -73,6 +73,11 @@ class ScenarioConfig:
                 raise ValueError(f"unknown band kind {kind!r}")
         if self.band_basis_family not in BASIS_FAMILIES:
             raise ValueError(f"unknown basis family {self.band_basis_family!r}")
+        for name in ("band_alpha", "oracle_alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0,1), got {getattr(self, name)}")
+        if not (np.isfinite(self.oracle_delta) and self.oracle_delta >= 0.0):
+            raise ValueError(f"oracle_delta must be finite and nonnegative, got {self.oracle_delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +131,7 @@ def omega_event_check(stats: CoefficientStats, levels: TheoreticalLevels, mu_tru
     Checks |mu_hat_k - mu_k| <= r_k, r_hat_k >= r_k, r_hat_k <= r_bar_k and
     r_bar_k <= r_tilde_k.  Needs the process covariance, so simulation only.
     """
+    _check_levels_match(stats, levels)
     mu = np.asarray(mu_true, dtype=float)
     if mu.shape != stats.mu_hat.shape:
         raise ValueError("mu_true length does not match stats")
@@ -134,16 +140,19 @@ def omega_event_check(stats: CoefficientStats, levels: TheoreticalLevels, mu_tru
     return bool(accurate and nested)
 
 
-def _truncation_keep(mu_true: np.ndarray, levels: TheoreticalLevels) -> np.ndarray:
-    return np.abs(np.asarray(mu_true, dtype=float)) >= levels.r_k
+def _check_levels_match(stats: CoefficientStats, levels: TheoreticalLevels):
+    got = (stats.n, stats.alpha, stats.delta)
+    want = (levels.n, levels.alpha, levels.delta)
+    if got != want:
+        raise ValueError(f"stats at (n, alpha, delta) = {got} do not match the levels' {want}")
 
 
-def _thm12_check(rule, panel, basis, levels, mu_true):
-    stats = pooled_stats(per_curve_coeffs(panel, basis), levels.alpha, levels.delta)
+def _thm12_check(rule, stats, basis, levels, mu_true):
+    _check_levels_match(stats, levels)
     est = fit(rule, stats, basis, 2)
     _, target = truncated_target(mu_true, levels.r_k, basis)
     diff = est.values - target
-    keep = _truncation_keep(mu_true, levels)
+    keep = np.abs(np.asarray(mu_true, dtype=float)) >= levels.r_k
     sup_bound = 3.0 * float(np.max(basis.sup_norms)) * float(np.sum(levels.r_bar * keep))
     l2_bound = 3.0 * float(np.sqrt(np.sum(levels.r_bar**2 * keep)))
     sup_ok = float(np.max(np.abs(diff))) <= sup_bound
@@ -151,18 +160,19 @@ def _thm12_check(rule, panel, basis, levels, mu_true):
     return bool(sup_ok), bool(l2_ok)
 
 
-def oracle_check_thm1(panel, basis, levels: TheoreticalLevels, mu_true) -> tuple:
+def oracle_check_thm1(stats: CoefficientStats, basis, levels: TheoreticalLevels, mu_true) -> tuple:
     """Hard multiplier-2 estimate vs truncated target: sup and L2 norm bounds.
 
     sup bound: 3 max_k sup|phi_k| * sum_k r_bar_k over |mu_k| >= r_k;
-    L2 bound: 3 sqrt(sum r_bar_k^2 over the same set).
+    L2 bound: 3 sqrt(sum r_bar_k^2 over the same set).  stats must be
+    pooled at the levels' n, alpha and delta.
     """
-    return _thm12_check("hard", panel, basis, levels, mu_true)
+    return _thm12_check("hard", stats, basis, levels, mu_true)
 
 
-def oracle_check_thm2(panel, basis, levels: TheoreticalLevels, mu_true) -> tuple:
+def oracle_check_thm2(stats: CoefficientStats, basis, levels: TheoreticalLevels, mu_true) -> tuple:
     """Soft-rule variant of oracle_check_thm1, same bounds."""
-    return _thm12_check("soft", panel, basis, levels, mu_true)
+    return _thm12_check("soft", stats, basis, levels, mu_true)
 
 
 def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourier", alpha: float = 0.05):
@@ -184,9 +194,8 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     for s, cfg in enumerate(replicate_configs(scenario, scenario.seed, S)):
         panel = generate_panel(cfg)
         mu_hat = per_curve_coeffs(panel, basis).mean(axis=0)
-        coeffs = np.where(np.abs(mu_hat) >= 2.0 * levels.r_k, mu_hat, 0.0)
-        diff = synthesize(coeffs, basis) - target
-        errs[s] = np.mean(diff**2)
+        _, values = truncated_target(mu_hat, 2.0 * levels.r_k, basis)
+        errs[s] = np.mean((values - target) ** 2)
     lhs = float(np.mean(errs))
     se = float(np.std(errs, ddof=1) / np.sqrt(S))
     n, m = scenario.n, basis.m
@@ -210,13 +219,15 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     configs = replicate_configs(template, config.base_seed, S)
     f = eval_signal(template.signal, template.grid)
 
-    families = {c.basis_family for c in config.estimators} | {config.band_basis_family}
+    families = {c.basis_family for c in config.estimators}
+    if config.bands or config.oracle_checks:
+        families.add(config.band_basis_family)
     bases = {fam: basis_for(fam, template.grid) for fam in families}
+    band_basis = bases.get(config.band_basis_family)
 
-    band_basis = bases[config.band_basis_family]
-    mu_true = analyze(f, band_basis)
     oracle_levels = None
     if config.oracle_checks:
+        mu_true = analyze(f, band_basis)
         sigma_k = np.sqrt(sigma_k_theoretical(template.process, band_basis))
         oracle_levels = theoretical_levels(
             sigma_k, template.noise_sd, template.n, band_basis.m,
@@ -234,12 +245,13 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     for s, cfg in enumerate(configs):
         try:
             panel = generate_panel(cfg)
+            coeffs = {fam: per_curve_coeffs(panel, basis) for fam, basis in bases.items()}
             stats_cache = {}
 
             def stats_for(fam, alpha, delta=0.0):
                 key = (fam, alpha, delta)
                 if key not in stats_cache:
-                    stats_cache[key] = pooled_stats(per_curve_coeffs(panel, bases[fam]), alpha, delta)
+                    stats_cache[key] = pooled_stats(coeffs[fam], alpha, delta)
                 return stats_cache[key]
 
             for e, cand in enumerate(config.estimators):
@@ -255,8 +267,8 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
             if config.oracle_checks:
                 ostats = stats_for(config.band_basis_family, config.oracle_alpha, config.oracle_delta)
                 oracle_hits["omega"] += omega_event_check(ostats, oracle_levels, mu_true)
-                s1, l1 = oracle_check_thm1(panel, band_basis, oracle_levels, mu_true)
-                s2, l2 = oracle_check_thm2(panel, band_basis, oracle_levels, mu_true)
+                s1, l1 = oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true)
+                s2, l2 = oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true)
                 oracle_hits["thm1"] += s1 and l1
                 oracle_hits["thm2"] += s2 and l2
         except Exception as exc:

@@ -277,3 +277,115 @@ def test_invalid_panel_content_exit1(tmp_path, capsys):
     code = _run("estimate", "--panel", bad, "--out", tmp_path / "x")
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+_PANEL = {"n": 20, "m": 16, "signal": {"kind": "signal1"}, "process": {"kind": "bb"},
+          "noise_sd": 0.2, "seed": 0}
+
+
+def _scenario_file(tmp_path, **top):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "panel": _PANEL,
+        "estimators": [{"basis_family": "fourier", "rule": "hard", "multiplier": 1}],
+        "replicates": 1,
+        **top,
+    }))
+    return scen
+
+
+def test_simulate_rejects_panel_flags_with_scenario(tmp_path, capsys):
+    scen = _scenario_file(tmp_path)
+    out = tmp_path / "p.csv"
+    for flag, value in (("--n", 50), ("--m", 32), ("--signal", "signal2"), ("--process", "bm"),
+                        ("--noise-sd", 0.3), ("--sigma-star", 1.0), ("--snr", 4.0),
+                        ("--ar-phi", 0.3), ("--innovation-sd", 2.0)):
+        assert _run("simulate", "--scenario", scen, flag, value, "--out", out) == 1
+        assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert _run("simulate", "--scenario", scen, "--seed", 3, "--out", out) == 0
+    assert read_panel_csv(str(out)).Y.shape == (20, 16)
+
+
+def test_simulate_rejects_noise_sd_with_calibration(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code = _run("simulate", "--n", 8, "--m", 8, "--sigma-star", 1.0, "--snr", 4.25,
+                "--noise-sd", 5.0, "--out", out)
+    assert code == 1
+    assert "--noise-sd" in capsys.readouterr().err
+
+
+def test_simulate_rejects_innovation_sd_with_calibration(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code = _run("simulate", "--n", 8, "--m", 8, "--process", "ar1", "--sigma-star", 1.0,
+                "--snr", 4.25, "--innovation-sd", 9.0, "--out", out)
+    assert code == 1
+    assert "--innovation-sd" in capsys.readouterr().err
+    # ar_phi shapes the calibrated process, so it stays accepted
+    assert _run("simulate", "--n", 8, "--m", 8, "--process", "ar1", "--sigma-star", 1.0,
+                "--snr", 4.25, "--ar-phi", 0.3, "--out", out) == 0
+
+
+def test_simulate_rejects_ar_flags_on_brownian_processes(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    for process in ("bb", "bm", None):
+        for flag, value in (("--ar-phi", 0.3), ("--innovation-sd", 2.0)):
+            argv = ["simulate", "--n", 8, "--m", 8, flag, value, "--out", out]
+            if process is not None:
+                argv[1:1] = ["--process", process]
+            assert _run(*argv) == 1
+            assert flag in capsys.readouterr().err
+    assert _run("simulate", "--n", 8, "--m", 8, "--process", "arima11", "--ar-phi", 0.3,
+                "--innovation-sd", 2.0, "--out", out) == 0
+    meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
+    assert meta["config"]["process"] == {"kind": "arima11", "ar_phi": 0.3, "innovation_sd": 2.0}
+
+
+def test_select_rejects_alpha_with_scenario(tmp_path, capsys):
+    g = make_grid(16)
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(generate_panel(PanelConfig(n=10, grid=g, signal=SignalSpec(),
+                                               process=ProcessSpec(kind="bb"), noise_sd=0.2, seed=3)),
+                    str(ppath))
+    scen = _scenario_file(tmp_path)
+    out = tmp_path / "sel.json"
+    assert _run("select", "--panel", ppath, "--scenario", scen, "--alpha", 0.3, "--out", out) == 1
+    assert "--alpha" in capsys.readouterr().err
+    assert _run("select", "--panel", ppath, "--scenario", scen, "--out", out) == 0
+    config = json.loads(out.read_text())["config"]
+    assert "alpha" not in config and config["scenario"] == str(scen)
+
+
+def test_band_rejects_scenario_for_other_kinds(tmp_path, capsys):
+    g = make_grid(16)
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
+    scen = _scenario_file(tmp_path)
+    for kind in ("proposed_hard1", "proposed_hard3", "proposed_soft2", "untruncated_ls",
+                 "competitor_sample_var"):
+        assert _run("band", "--panel", ppath, "--kind", kind, "--scenario", scen,
+                    "--out", tmp_path / "b.csv") == 1
+        assert "--scenario" in capsys.readouterr().err
+
+
+def test_scenario_unknown_keys_exit1(tmp_path, capsys):
+    g = make_grid(16)
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
+    out = tmp_path / "x"
+    calibrated = {k: v for k, v in _PANEL.items() if k != "noise_sd"}
+    calibration = {"sigma_star": 1.0, "snr": 4.25}
+    cases = (
+        ({"band_alfa": 0.2}, "band_alfa"),
+        ({"panel": {**_PANEL, "noice_sd": 0.1}}, "noice_sd"),
+        ({"panel": {**calibrated, "calibration": {**calibration, "snrr": 2}}}, "snrr"),
+        ({"panel": {**_PANEL, "calibration": calibration}}, "both noise_sd and calibration"),
+    )
+    for top, needle in cases:
+        scen = _scenario_file(tmp_path, **top)
+        for argv in (("simulate", "--scenario", scen),
+                     ("select", "--panel", ppath, "--scenario", scen),
+                     ("band", "--panel", ppath, "--kind", "competitor_theoretical", "--scenario", scen),
+                     ("bench", "--scenario", scen)):
+            assert _run(*argv, "--out", out) == 1, (top, argv[0])
+            assert needle in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Scores, good-event and risk-bound checks, and the scenario runner."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,9 +135,28 @@ def test_thm12_zero_everything_holds():
     b = fourier_basis(g)
     panel = CurvePanel(grid=g, Y=np.zeros((4, 16)))
     levels = theoretical_levels(np.zeros(16), 0.0, n=4, m=16, alpha=0.05)
+    st = pooled_stats(per_curve_coeffs(panel, b), 0.05)
     for check in (oracle_check_thm1, oracle_check_thm2):
-        sup_ok, l2_ok = check(panel, b, levels, np.zeros(16))
+        sup_ok, l2_ok = check(st, b, levels, np.zeros(16))
         assert sup_ok and l2_ok
+
+
+def test_oracle_checks_reject_stats_at_other_levels():
+    g = make_grid(16)
+    b = fourier_basis(g)
+    pc = per_curve_coeffs(CurvePanel(grid=g, Y=np.zeros((4, 16))), b)
+    levels = theoretical_levels(np.zeros(16), 0.0, n=4, m=16, alpha=0.05, delta=0.01)
+    mismatched = (
+        pooled_stats(pc, 0.1, 0.01),  # alpha
+        pooled_stats(pc, 0.05, 0.0),  # delta
+        pooled_stats(pc[:3], 0.05, 0.01),  # n
+    )
+    for st in mismatched:
+        with pytest.raises(ValueError, match="do not match the levels"):
+            omega_event_check(st, levels, np.zeros(16))
+        for check in (oracle_check_thm1, oracle_check_thm2):
+            with pytest.raises(ValueError, match="do not match the levels"):
+                check(st, b, levels, np.zeros(16))
 
 
 def test_thm3_zero_signal_ok():
@@ -196,6 +216,13 @@ def test_scenario_config_validation():
         _scenario(estimators=())
     with pytest.raises(ValueError):
         _scenario(bands=("mystery",))
+    # alpha and delta fields are checked even when no band or oracle reads them
+    base = _scenario()
+    for field, bad in (("band_alpha", 1.5), ("band_alpha", 0.0), ("band_alpha", float("nan")),
+                       ("oracle_alpha", 1.0), ("oracle_alpha", -0.1), ("oracle_delta", -0.01),
+                       ("oracle_delta", float("nan")), ("oracle_delta", float("inf"))):
+        with pytest.raises(ValueError, match=field):
+            replace(base, **{field: bad})
 
 
 def test_run_scenario_single_replicate_echo():
@@ -277,6 +304,24 @@ def test_run_scenario_table_orderings():
     ht_fourier, ls_fourier, ht_haar = rep.sqrt_emse
     assert ht_fourier < ls_fourier
     assert ht_fourier < ht_haar
+
+
+def test_run_scenario_analyses_each_family_once_per_replicate(monkeypatch):
+    # two estimator families, the band family shared with one of them, and
+    # oracle stats at their own delta: each replicate analyses each family
+    # once, and only thm3, which simulates its own panels, analyses again
+    cfg = _scenario(S=3, bands=("proposed_hard1",), oracle=True,
+                    estimators=(CandidateSpec("fourier", "hard", 1), CandidateSpec("haar", "hard", 2)))
+    calls = []
+    real = mb.per_curve_coeffs
+
+    def counting(panel, basis):
+        calls.append(basis.family)
+        return real(panel, basis)
+
+    monkeypatch.setattr(mb, "per_curve_coeffs", counting)
+    run_scenario(cfg)
+    assert sorted(calls) == ["fourier"] * (2 * 3) + ["haar"] * 3
 
 
 def test_run_scenario_failure_carries_replicate_seed(monkeypatch):
