@@ -55,7 +55,10 @@ _PROPOSED_BANDS = {
     "proposed_soft2": ("soft", 2),
 }
 
-BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", "competitor_theoretical", "competitor_sample_var")
+# Competitor kinds read only alpha: no threshold level, so no delta.
+COMPETITOR_KINDS = ("competitor_theoretical", "competitor_sample_var")
+
+BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", *COMPETITOR_KINDS)
 
 LS_CENTER_NOTE = "competitor bands centered at the pooled least-squares mean (kernel smoothing out of scope)"
 
@@ -147,7 +150,7 @@ def competitor_band(
         raise ValueError(f"variance function must have length {m}")
     if np.any(v < 0.0):
         raise ValueError("variance function must be nonnegative")
-    if kind not in ("competitor_theoretical", "competitor_sample_var"):
+    if kind not in COMPETITOR_KINDS:
         raise ValueError(f"unknown competitor band kind {kind!r}")
     z = normal_quantile(alpha / (2.0 * m))
     half = np.sqrt(v / n) * z

@@ -17,11 +17,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, _build_band
+from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band
 from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
 from .grid_basis import BASIS_FAMILIES, Grid, basis_for, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
 from .process_sim import (
+    PROCESS_KINDS,
+    SIGNAL_KINDS,
     CurvePanel,
     PanelConfig,
     ProcessSpec,
@@ -37,11 +39,17 @@ __all__ = ["main", "build_parser", "read_panel_csv", "write_panel_csv", "scenari
 
 FMT = "%.17g"
 
-# Keys a scenario JSON may hold, by block; signal, process and estimator
-# blocks are checked by the dataclasses they build.
+# Keys a scenario JSON may hold, by block and, for signal and process
+# blocks, by kind; estimator blocks are checked by the dataclass they build.
 _SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
 _PANEL_KEYS = {"n", "m", "signal", "process", "noise_sd", "calibration", "seed"}
 _CALIBRATION_KEYS = {"sigma_star", "snr"}
+_SIGNAL_KEYS = {"signal1": {"c1", "c2"}, "signal2": {"c3"}, "custom": {"custom_values"}}
+_AR_KEYS = {"ar_phi", "innovation_sd"}
+_PROCESS_KEYS = {"bb": set(), "bm": set(), "ar1": _AR_KEYS, "arima11": _AR_KEYS}
+
+# a custom signal needs its grid values, which only a scenario can give
+_SIGNAL_CHOICES = tuple(kind for kind in SIGNAL_KINDS if kind != "custom")
 
 # simulate's panel flags; they default to None so a given flag can be told
 # from an absent one, and absent ones take these values
@@ -54,13 +62,17 @@ def signal_from_dict(d: dict) -> SignalSpec:
     kind = kw.pop("kind", "signal1")
     if "custom_values" in kw:
         kw["custom_values"] = tuple(kw["custom_values"])
-    return SignalSpec(kind=kind, **kw)
+    spec = SignalSpec(kind=kind, **kw)
+    _check_keys(kw, _SIGNAL_KEYS[kind], f"{kind} signal")
+    return spec
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
     kw = dict(d)
     kind = kw.pop("kind", "bb")
-    return ProcessSpec(kind=kind, **kw)
+    spec = ProcessSpec(kind=kind, **kw)
+    _check_keys(kw, _PROCESS_KEYS[kind], f"{kind} process")
+    return spec
 
 
 def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
@@ -107,12 +119,13 @@ def _check_keys(block, known, where: str):
         raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(block) - known)
     if unknown:
-        raise ValueError(f"unknown {where} key(s) {unknown}; expected some of {sorted(known)}")
+        raise ValueError(f"{where} does not read key(s) {unknown}; it reads some of {sorted(known)}")
 
 
 def _load_scenario(path: str) -> dict:
     """Scenario JSON whose top level, panel and calibration blocks hold no
-    key that the commands would ignore."""
+    key that the commands would ignore; signal_from_dict and
+    process_from_dict check the signal and process blocks by kind."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     _check_keys(d, _SCENARIO_KEYS, "scenario")
@@ -121,6 +134,8 @@ def _load_scenario(path: str) -> dict:
     _check_keys(panel.get("calibration", {}), _CALIBRATION_KEYS, "calibration")
     if "calibration" in panel and "noise_sd" in panel:
         raise ValueError("panel gives both noise_sd and calibration; calibration derives noise_sd")
+    if "calibration" in panel and "innovation_sd" in panel.get("process", {}):
+        raise ValueError("panel gives both process innovation_sd and calibration; calibration derives innovation_sd")
     return d
 
 
@@ -208,10 +223,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.rule == "least_squares":
+        _reject_given(args, ("multiplier",), "least_squares has no threshold to scale")
+    multiplier = 1 if args.multiplier is None else args.multiplier
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
     stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, args.delta)
-    est = fit(args.rule, stats, basis, args.multiplier)
+    est = fit(args.rule, stats, basis, multiplier)
     k = np.arange(1, basis.m + 1)
     # active column marks coefficients present in the estimate; under the
     # >= tie convention a zero coefficient with a zero level is not counted
@@ -226,10 +244,11 @@ def cmd_estimate(args) -> int:
         ["j", "t_j", "f_hat"],
         [j, panel.grid.points, est.values],
     )
+    echo = {} if args.rule == "least_squares" else {"multiplier": multiplier}
     _write_meta(args.out, "estimate", {
         "panel": args.panel, "basis": args.basis, "rule": args.rule,
-        "multiplier": args.multiplier, "alpha": args.alpha, "delta": args.delta,
-        "active_count": int(np.count_nonzero(est.coeffs)),
+        "alpha": args.alpha, "delta": args.delta,
+        "active_count": int(np.count_nonzero(est.coeffs)), **echo,
     })
     return 0
 
@@ -266,9 +285,13 @@ def cmd_select(args) -> int:
 def cmd_band(args) -> int:
     if args.scenario and args.kind != "competitor_theoretical":
         raise ValueError(f"--scenario would be ignored: only competitor_theoretical reads it, not {args.kind}")
+    competitor = args.kind in COMPETITOR_KINDS
+    if competitor:
+        _reject_given(args, ("delta",), f"{args.kind} reads only --alpha")
+    delta = 0.0 if args.delta is None else args.delta
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
-    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, args.delta)
+    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, delta)
     process_var = None
     if args.kind == "competitor_theoretical":
         if not args.scenario:
@@ -284,9 +307,9 @@ def cmd_band(args) -> int:
         ["j", "t_j", "center", "lower", "upper"],
         [j, panel.grid.points, band.center, band.lower, band.upper],
     )
+    echo = {} if competitor else {"delta": delta}
     _write_meta(args.out, "band", {
-        "panel": args.panel, "kind": args.kind, "basis": args.basis,
-        "alpha": args.alpha, "delta": args.delta,
+        "panel": args.panel, "kind": args.kind, "basis": args.basis, "alpha": args.alpha, **echo,
     })
     return 0
 
@@ -355,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None, help="scenario JSON whose panel block sets the panel; no panel flags with it")
     p.add_argument("--n", type=int, default=None, help="curves (default 100)")
     p.add_argument("--m", type=int, default=None, help="grid points (default 64)")
-    p.add_argument("--signal", choices=("signal1", "signal2"), default=None, help="default signal1")
-    p.add_argument("--process", choices=("bb", "bm", "ar1", "arima11"), default=None, help="default bb")
+    p.add_argument("--signal", choices=_SIGNAL_CHOICES, default=None, help="default signal1")
+    p.add_argument("--process", choices=PROCESS_KINDS, default=None, help="default bb")
     p.add_argument("--noise-sd", type=float, default=None, help="default 0.1; not with calibration")
     p.add_argument("--sigma-star", type=float, default=None)
     p.add_argument("--snr", type=float, default=None)
@@ -369,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", required=True)
     p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
     p.add_argument("--rule", choices=RULES, default="hard")
-    p.add_argument("--multiplier", type=float, default=1)
+    p.add_argument("--multiplier", type=float, default=None, help="threshold multiplier (default 1); not with least_squares")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.0)
     p.set_defaults(fn=cmd_estimate)
@@ -389,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=BAND_KINDS, default="proposed_hard1")
     p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=float, default=None, help="default 0; not with the competitor kinds")
     p.set_defaults(fn=cmd_band)
 
     p = sub.add_parser("sparsity", help="count true coefficients above theoretical levels")
     _add_common(p)
-    p.add_argument("--signal", choices=("signal1", "signal2"), default="signal1")
-    p.add_argument("--process", choices=("bb", "bm", "ar1", "arima11"), default="bb")
+    p.add_argument("--signal", choices=_SIGNAL_CHOICES, default="signal1")
+    p.add_argument("--process", choices=PROCESS_KINDS, default="bb")
     p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--n", type=int, default=400)

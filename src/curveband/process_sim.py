@@ -4,12 +4,14 @@ Generates the panel Y_ij = f(t_j) + Z_i(t_j) + eps_ij for four process
 families (Brownian bridge, Brownian motion, stationary AR(1), and its
 cumulative-sum integration), with calibration of the noise level via the
 process-to-noise variance ratio and of the signal amplitude via a target
-signal-to-noise ratio.  Also computes theoretical coefficient variances
-from a covariance kernel.
+signal-to-noise ratio.  Each family is defined once, by its covariance
+matrix on the grid: paths are drawn from its Cholesky factor, and the
+theoretical coefficient variances are computed from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +25,7 @@ __all__ = [
     "CurvePanel",
     "Calibration",
     "eval_signal",
-    "covariance_kernel",
     "covariance_matrix",
-    "simulate_process",
     "median_process_variance",
     "calibrate",
     "generate_panel",
@@ -140,13 +140,6 @@ def eval_signal(spec: SignalSpec, grid: Grid) -> np.ndarray:
     return values.copy()
 
 
-def _grid_index(grid: Grid, x: float) -> int:
-    j = int(np.argmin(np.abs(grid.points - x)))
-    if abs(grid.points[j] - x) > 1e-9:
-        raise ValueError(f"point {x} is not on the grid")
-    return j
-
-
 def covariance_matrix(process: ProcessSpec, grid: Grid) -> np.ndarray:
     """Full kernel matrix Gamma(t_i, t_j) on the grid."""
     t = grid.points
@@ -161,47 +154,20 @@ def covariance_matrix(process: ProcessSpec, grid: Grid) -> np.ndarray:
     if process.kind == "ar1":
         return ar_cov
     # integrated AR(1): covariance of the running sums
-    lower = np.tril(np.ones((grid.m, grid.m)))
-    return lower @ ar_cov @ lower.T
+    return np.cumsum(np.cumsum(ar_cov, axis=0), axis=1)
 
 
-def covariance_kernel(process: ProcessSpec, s: float, t: float, grid: Grid | None = None) -> float:
-    """Gamma(s, t) for one pair of times.
+@functools.lru_cache(maxsize=1)
+def _cholesky_t(process: ProcessSpec, grid: Grid) -> np.ndarray:
+    """Read-only transposed Cholesky factor of covariance_matrix(process, grid).
 
-    Brownian kernels are defined for any s, t in (0,1); the autoregressive
-    kinds live on grid indices, so those require the grid and reject
-    off-grid arguments.
+    Every replicate loop draws all of its panels from one (process, grid)
+    pair, so one cached factor serves them all; at m=1024 building and
+    factorising the covariance costs about five n=200 panels.
     """
-    if process.kind == "bb":
-        return float(min(s, t) - s * t)
-    if process.kind == "bm":
-        return float(min(s, t))
-    if grid is None:
-        raise ValueError(f"{process.kind} kernel is defined on grid indices; pass the grid")
-    cov = covariance_matrix(process, grid)
-    return float(cov[_grid_index(grid, s), _grid_index(grid, t)])
-
-
-def simulate_process(process: ProcessSpec, grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean path Z(t_j) on the grid."""
-    m, t = grid.m, grid.points
-    if process.kind in ("bb", "bm"):
-        # BM by summing independent increments; first gap runs from time 0
-        gaps = np.diff(t, prepend=0.0)
-        w = np.cumsum(rng.normal(0.0, np.sqrt(gaps)))
-        if process.kind == "bm":
-            return w
-        w_end = w[-1] + rng.normal(0.0, np.sqrt(1.0 - t[-1]))
-        return w - t * w_end
-    phi = process.ar_phi
-    z = np.empty(m)
-    z[0] = rng.normal(0.0, process.innovation_sd / np.sqrt(1.0 - phi**2))
-    eta = rng.normal(0.0, process.innovation_sd, m)
-    for j in range(1, m):
-        z[j] = phi * z[j - 1] + eta[j]
-    if process.kind == "ar1":
-        return z
-    return np.cumsum(z)
+    upper = np.linalg.cholesky(covariance_matrix(process, grid)).T
+    upper.setflags(write=False)
+    return upper
 
 
 def median_process_variance(process: ProcessSpec, grid: Grid) -> float:
@@ -269,19 +235,22 @@ def calibrate(
 def generate_panel(config: PanelConfig, zero_process: bool = False) -> CurvePanel:
     """n independent noisy curves; deterministic given the seed.
 
-    Each curve draws from its own child stream of the panel seed, so the
-    panel is reproducible independently of evaluation order.  zero_process
-    is a test hook that replaces every path by zeros.
+    One generator per panel draws the n x m standard normals N first and
+    the noise second, and the paths are N L^T with L the Cholesky factor
+    of the process covariance.  zero_process is a test hook that replaces
+    every path by zeros.
     """
     grid = config.grid
     f = eval_signal(config.signal, grid)
-    children = np.random.SeedSequence(config.seed).spawn(config.n)
-    Y = np.empty((config.n, grid.m))
-    for i in range(config.n):
-        rng = np.random.default_rng(children[i])
-        path = np.zeros(grid.m) if zero_process else simulate_process(config.process, grid, rng)
-        eps = rng.normal(0.0, config.noise_sd, grid.m) if config.noise_sd > 0.0 else 0.0
-        Y[i] = f + path + eps
+    rng = np.random.default_rng(config.seed)
+    shape = (config.n, grid.m)
+    if zero_process:
+        paths = np.zeros(shape)
+    else:
+        paths = rng.standard_normal(shape) @ _cholesky_t(config.process, grid)
+    Y = f + paths
+    if config.noise_sd > 0.0:
+        Y += rng.normal(0.0, config.noise_sd, shape)
     return CurvePanel(grid=grid, Y=Y, true_mean=f)
 
 
@@ -308,7 +277,7 @@ def sigma_k_theoretical(process, basis: BasisMatrix) -> np.ndarray:
         if kernel.shape != (basis.m, basis.m):
             raise ValueError(f"kernel must be {basis.m}x{basis.m}, got {kernel.shape}")
     phi = basis.values
-    out = np.einsum("jk,jl,lk->k", phi, kernel, phi) / basis.m**2
+    out = np.sum(phi * (kernel @ phi), axis=0) / basis.m**2
     if np.any(out < -1e-12):
         raise ValueError("kernel produced substantially negative coefficient variances")
     return np.maximum(out, 0.0)

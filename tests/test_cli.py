@@ -389,3 +389,56 @@ def test_scenario_unknown_keys_exit1(tmp_path, capsys):
                      ("bench", "--scenario", scen)):
             assert _run(*argv, "--out", out) == 1, (top, argv[0])
             assert needle in capsys.readouterr().err
+
+
+def test_band_rejects_delta_for_competitor_kinds(tmp_path, capsys):
+    g = make_grid(16)
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(6, 16))), str(ppath))
+    scen = _scenario_file(tmp_path)
+    out = tmp_path / "b.csv"
+    for kind, extra in (("competitor_theoretical", ("--scenario", scen)), ("competitor_sample_var", ())):
+        assert _run("band", "--panel", ppath, "--kind", kind, *extra, "--delta", 0.5, "--out", out) == 1
+        assert "--delta" in capsys.readouterr().err
+        assert _run("band", "--panel", ppath, "--kind", kind, *extra, "--out", out) == 0
+        assert "delta" not in json.loads((tmp_path / "b.csv.meta.json").read_text())["config"]
+    assert _run("band", "--panel", ppath, "--kind", "untruncated_ls", "--delta", 0.5, "--out", out) == 0
+    assert json.loads((tmp_path / "b.csv.meta.json").read_text())["config"]["delta"] == 0.5
+
+
+def test_estimate_rejects_multiplier_with_least_squares(tmp_path, capsys):
+    g = make_grid(16)
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(6, 16))), str(ppath))
+    out = tmp_path / "est"
+    assert _run("estimate", "--panel", ppath, "--rule", "least_squares", "--multiplier", 2, "--out", out) == 1
+    assert "--multiplier" in capsys.readouterr().err
+    assert _run("estimate", "--panel", ppath, "--rule", "least_squares", "--out", out) == 0
+    assert "multiplier" not in json.loads((tmp_path / "est.meta.json").read_text())["config"]
+    assert _run("estimate", "--panel", ppath, "--rule", "soft", "--multiplier", 2, "--out", out) == 0
+    assert json.loads((tmp_path / "est.meta.json").read_text())["config"]["multiplier"] == 2.0
+
+
+_CALIBRATION = {"sigma_star": 1.0, "snr": 4.25}
+_CALIBRATED_PANEL = {k: v for k, v in _PANEL.items() if k != "noise_sd"}
+
+
+@pytest.mark.parametrize("panel, needle", [
+    ({**_PANEL, "process": {"kind": "bb", "ar_phi": 0.3}}, "ar_phi"),
+    ({**_PANEL, "process": {"kind": "bm", "innovation_sd": 2.0}}, "innovation_sd"),
+    ({**_PANEL, "signal": {"kind": "signal1", "c3": 2.0}}, "c3"),
+    ({**_PANEL, "signal": {"kind": "signal2", "c1": 2.0}}, "c1"),
+    ({**_PANEL, "signal": {"kind": "signal2", "c2": 2.0}}, "c2"),
+    ({**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 16, "c1": 2.0}}, "c1"),
+    ({**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 16, "c3": 2.0}}, "c3"),
+    ({**_PANEL, "signal": {"kind": "signal1", "custom_values": [0.0] * 16}}, "custom_values"),
+    ({**_CALIBRATED_PANEL, "process": {"kind": "ar1", "innovation_sd": 2.0}, "calibration": _CALIBRATION},
+     "innovation_sd"),
+], ids=["bb-ar_phi", "bm-innovation_sd", "signal1-c3", "signal2-c1", "signal2-c2", "custom-c1", "custom-c3",
+        "signal1-custom_values", "calibration-innovation_sd"])
+def test_scenario_keys_the_kind_ignores_exit1(tmp_path, capsys, panel, needle):
+    scen = _scenario_file(tmp_path, panel=panel)
+    out = tmp_path / "p.csv"
+    assert _run("simulate", "--scenario", scen, "--out", out) == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()

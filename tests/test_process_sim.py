@@ -1,11 +1,14 @@
-"""Simulation-side checks: signal forms, covariance kernels, path generators,
-calibration, and theoretical coefficient variances, each against either a
-hand computation or an independent Monte-Carlo oracle."""
+"""Simulation-side checks: signal forms, covariance matrices, simulated
+paths, calibration, and theoretical coefficient variances, each against
+either a hand computation or an independent Monte-Carlo oracle."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from curveband import process_sim
 from curveband.grid_basis import fourier_basis, make_grid
 from curveband.process_sim import (
     CurvePanel,
@@ -13,13 +16,11 @@ from curveband.process_sim import (
     ProcessSpec,
     SignalSpec,
     calibrate,
-    covariance_kernel,
     covariance_matrix,
     eval_signal,
     generate_panel,
     median_process_variance,
     sigma_k_theoretical,
-    simulate_process,
 )
 
 
@@ -61,33 +62,26 @@ def test_process_spec_validation():
         ProcessSpec(kind="nope")
 
 
-def test_covariance_kernel_bb_bm():
-    assert covariance_kernel(ProcessSpec(kind="bb"), 0.5, 0.5) == pytest.approx(0.25)
-    assert covariance_kernel(ProcessSpec(kind="bm"), 0.3, 0.7) == pytest.approx(0.3)
+def test_covariance_matrix_bb_bm():
+    g = make_grid(5)  # points 0.1, 0.3, 0.5, 0.7, 0.9
+    assert covariance_matrix(ProcessSpec(kind="bb"), g)[2, 2] == pytest.approx(0.25)
+    assert covariance_matrix(ProcessSpec(kind="bm"), g)[1, 3] == pytest.approx(0.3)
 
 
-def test_covariance_kernel_ar1_stationary_variance():
+def test_covariance_matrix_ar1_stationary_variance():
     # innovation chosen so sigma^2/(1-phi^2) = 0.1875
     sd = np.sqrt(0.1875 * (1.0 - 0.25))
-    p = ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=sd)
-    g = make_grid(8)
-    t = g.points[3]
-    assert covariance_kernel(p, t, t, g) == pytest.approx(0.1875)
+    cov = covariance_matrix(ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=sd), make_grid(8))
+    assert cov[3, 3] == pytest.approx(0.1875)
     # lag one decays by phi
-    assert covariance_kernel(p, g.points[3], g.points[4], g) == pytest.approx(0.1875 * 0.5)
-
-
-def test_covariance_kernel_ar1_off_grid_rejected():
-    p = ProcessSpec(kind="ar1", ar_phi=0.5)
-    with pytest.raises(ValueError):
-        covariance_kernel(p, 0.33, 0.5, make_grid(8))
-    with pytest.raises(ValueError):
-        covariance_kernel(p, 0.5, 0.5)  # grid required
+    assert cov[3, 4] == pytest.approx(0.1875 * 0.5)
 
 
 def _paths(process, grid, n, seed):
-    rng = np.random.default_rng(seed)
-    return np.array([simulate_process(process, grid, rng) for _ in range(n)])
+    """n simulated paths: a panel with zero signal and no noise."""
+    cfg = PanelConfig(n=n, grid=grid, signal=SignalSpec(kind="signal1", c1=0.0, c2=0.0),
+                      process=process, noise_sd=0.0, seed=seed)
+    return generate_panel(cfg).Y
 
 
 def test_bb_paths_zero_mean_and_variance():
@@ -103,22 +97,37 @@ def test_bb_paths_zero_mean_and_variance():
     assert abs(v - target) < 3.0 * se
 
 
-@pytest.mark.parametrize("kind", ["bb", "bm"])
+def _closed_form_covariance(p, grid):
+    s, t = np.meshgrid(grid.points, grid.points, indexing="ij")
+    if p.kind == "bb":
+        return np.minimum(s, t) - s * t
+    if p.kind == "bm":
+        return np.minimum(s, t)
+    i, j = np.meshgrid(np.arange(grid.m), np.arange(grid.m), indexing="ij")
+    ar = p.innovation_sd**2 / (1.0 - p.ar_phi**2) * p.ar_phi ** np.abs(i - j)
+    if p.kind == "ar1":
+        return ar
+    lower = np.tril(np.ones((grid.m, grid.m)))
+    return lower @ ar @ lower.T
+
+
+@pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
 def test_empirical_covariance_matches_kernel(kind):
     g = make_grid(32)
-    p = ProcessSpec(kind=kind)
+    p = ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3)
+    target = _closed_form_covariance(p, g)
+    assert_allclose(covariance_matrix(p, g), target, rtol=1e-13, atol=0)
     Z = _paths(p, g, 6000, 5)
     emp = np.cov(Z, rowvar=False)
     pairs = np.random.default_rng(3).integers(0, 32, size=(5, 2))
     for a, b in pairs:
-        target = covariance_kernel(p, g.points[a], g.points[b], g)
         # gaussian MC-SE for a covariance entry
         se = np.sqrt((emp[a, a] * emp[b, b] + emp[a, b] ** 2) / 5999)
-        assert abs(emp[a, b] - target) < 3.0 * se + 1e-12
+        assert abs(emp[a, b] - target[a, b]) < 3.0 * se + 1e-12
 
 
 def test_bb_matches_cholesky_oracle():
-    # the O(m) bridge construction must agree with direct Cholesky sampling
+    # panel paths agree with Cholesky sampling from an independent stream
     g = make_grid(16)
     p = ProcessSpec(kind="bb")
     C = covariance_matrix(p, g)
@@ -133,21 +142,48 @@ def test_bb_matches_cholesky_oracle():
 
 
 def test_ar1_lag1_autocorrelation():
-    g = make_grid(4000)
-    p = ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=1.0)
-    z = simulate_process(p, g, np.random.default_rng(17))
-    r = np.corrcoef(z[:-1], z[1:])[0, 1]
-    assert abs(r - 0.5) < 0.05
+    Z = _paths(ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=1.0), make_grid(128), 400, 17)
+    r = np.corrcoef(Z[:, :-1].ravel(), Z[:, 1:].ravel())[0, 1]
+    assert abs(r - 0.5) < 0.02
 
 
 def test_arima11_is_integrated_ar1():
-    # same seed: the arima path equals the cumulative sum of the ar1 path
+    # the Cholesky factor of the running-sum covariance is the running sum
+    # of the AR(1) factor, so the same seed gives the cumulative-sum path
     g = make_grid(32)
     ar = ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=0.3)
     ai = ProcessSpec(kind="arima11", ar_phi=0.5, innovation_sd=0.3)
-    z1 = simulate_process(ar, g, np.random.default_rng(123))
-    z2 = simulate_process(ai, g, np.random.default_rng(123))
-    assert_allclose(z2, np.cumsum(z1), rtol=0, atol=1e-12)
+    z1 = _paths(ar, g, 4, 123)
+    z2 = _paths(ai, g, 4, 123)
+    assert_allclose(z2, np.cumsum(z1, axis=1), rtol=0, atol=1e-12)
+
+
+def test_panel_identical_on_factor_cache_hit_and_miss():
+    g = make_grid(32)
+    cfg = PanelConfig(n=6, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="arima11", ar_phi=0.3),
+                      noise_sd=0.2, seed=8)
+    generate_panel(replace(cfg, process=ProcessSpec(kind="bm")))
+    before = process_sim._cholesky_t.cache_info()
+    miss = generate_panel(cfg).Y
+    hit = generate_panel(cfg).Y
+    after = process_sim._cholesky_t.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert np.array_equal(miss, hit)
+    # an equal grid is another key, and the layout is f + N L^T + eps from one stream
+    other_grid = generate_panel(replace(cfg, grid=make_grid(32))).Y
+    rng = np.random.default_rng(8)
+    L = np.linalg.cholesky(covariance_matrix(cfg.process, g))
+    expected = eval_signal(cfg.signal, g) + rng.standard_normal((6, 32)) @ L.T + rng.normal(0.0, 0.2, (6, 32))
+    assert np.array_equal(other_grid, miss)
+    assert np.array_equal(expected, miss)
+
+
+@pytest.mark.parametrize("kind", ["ar1", "arima11"])
+@pytest.mark.parametrize("phi", [0.999999, -0.999999])
+def test_near_unit_root_panels_are_finite(kind, phi):
+    cfg = PanelConfig(n=3, grid=make_grid(1024), signal=SignalSpec(),
+                      process=ProcessSpec(kind=kind, ar_phi=phi), noise_sd=0.1, seed=2)
+    assert np.all(np.isfinite(generate_panel(cfg).Y))
 
 
 def test_median_process_variance():
