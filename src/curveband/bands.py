@@ -29,9 +29,9 @@ from .estimator import (
 from .grid_basis import BasisMatrix, analyze, basis_for
 from .process_sim import (
     PanelConfig,
-    covariance_matrix,
     eval_signal,
     generate_panel,
+    process_variance,
     replicate_configs,
     sigma_k_theoretical,
 )
@@ -195,7 +195,6 @@ def coverage_experiment(
     basis_family: str = "fourier",
     alpha: float = 0.05,
     delta: float = 0.0,
-    zero_process: bool = False,
 ) -> CoverageReport:
     """Simultaneous coverage frequency of one band kind over S fresh panels.
 
@@ -221,15 +220,18 @@ def coverage_experiment(
         _, target = truncated_target(mu, 2.0 * levels.r_bar, basis)
     process_var = None
     if band_kind == "competitor_theoretical":
-        process_var = np.diag(covariance_matrix(scenario.process, scenario.grid))
+        process_var = process_variance(scenario.process, scenario.grid)
     covered = 0
     width_sum = 0.0
-    for cfg in replicate_configs(scenario, scenario.seed, S):
-        panel = generate_panel(cfg, zero_process=zero_process)
-        stats = pooled_stats(per_curve_coeffs(panel, basis), alpha, delta)
-        band = _build_band(band_kind, basis, stats, process_var)
-        covered += covers(band, target)
-        width_sum += float(np.mean(2.0 * band.half_width))
+    for s, cfg in enumerate(replicate_configs(scenario, scenario.seed, S)):
+        try:
+            panel = generate_panel(cfg)
+            stats = pooled_stats(per_curve_coeffs(panel, basis), alpha, delta)
+            band = _build_band(band_kind, basis, stats, process_var)
+            covered += covers(band, target)
+            width_sum += float(np.mean(2.0 * band.half_width))
+        except Exception as exc:
+            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
     notes = (LS_CENTER_NOTE,) if band_kind.startswith("competitor") else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=width_sum / S,

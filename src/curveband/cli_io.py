@@ -29,8 +29,8 @@ from .process_sim import (
     ProcessSpec,
     SignalSpec,
     calibrate,
-    covariance_matrix,
     generate_panel,
+    process_variance,
     sigma_k_theoretical,
 )
 from .selector import CandidateSpec, select
@@ -75,10 +75,17 @@ def process_from_dict(d: dict) -> ProcessSpec:
     return spec
 
 
+def _integer(value, key: str) -> int:
+    """A whole number; int() would truncate 2.9 and parse "3"."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
     """Panel block: n, m, signal, process, seed, and either noise_sd or a
     calibration block {sigma_star, snr} that derives noise and signal scale."""
-    grid = make_grid(int(d["m"]))
+    grid = make_grid(_integer(d["m"], "m"))
     signal = signal_from_dict(d.get("signal", {}))
     process = process_from_dict(d.get("process", {}))
     if "calibration" in d:
@@ -87,9 +94,9 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
         noise_sd, signal, process = calib.noise_sd, calib.signal, calib.process
     else:
         noise_sd = float(d["noise_sd"])
-    seed = int(seed_override if seed_override is not None else d.get("seed", 0))
+    seed = _integer(seed_override if seed_override is not None else d.get("seed", 0), "seed")
     return PanelConfig(
-        n=int(d["n"]), grid=grid, signal=signal, process=process,
+        n=_integer(d["n"], "n"), grid=grid, signal=signal, process=process,
         noise_sd=noise_sd, seed=seed,
     )
 
@@ -104,11 +111,11 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
         panel=panel,
         estimators=estimators,
         bands=tuple(d.get("bands", ())),
-        replicates=int(d.get("replicates", 100)),
-        base_seed=int(base),
+        replicates=_integer(d.get("replicates", 100), "replicates"),
+        base_seed=_integer(base, "base_seed"),
         band_basis_family=d.get("band_basis_family", "fourier"),
         band_alpha=float(d.get("band_alpha", 0.05)),
-        oracle_checks=bool(d.get("oracle_checks", False)),
+        oracle_checks=d.get("oracle_checks", False),
         oracle_alpha=float(d.get("oracle_alpha", 0.05)),
         oracle_delta=float(d.get("oracle_delta", 0.01)),
     )
@@ -299,7 +306,7 @@ def cmd_band(args) -> int:
         cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"])
         if cfg.grid.m != panel.grid.m:
             raise ValueError("scenario grid size does not match the stored panel")
-        process_var = np.diag(covariance_matrix(cfg.process, panel.grid))
+        process_var = process_variance(cfg.process, panel.grid)
     band = _build_band(args.kind, basis, stats, process_var)
     j = np.arange(1, basis.m + 1)
     _write_table_csv(

@@ -139,6 +139,8 @@ def theoretical_levels(
         raise ValueError("sigma_k, sigma_eps and delta must be finite and nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not n >= 1:
+        raise ValueError(f"levels need n >= 1 curves, got {n}")
     z = normal_quantile(alpha / (2.0 * m))
     r_k = np.sqrt((sk**2 + sigma_eps**2 / m) / n) * z
     r_bar = r_k + 2.0 * delta * z / np.sqrt(n)

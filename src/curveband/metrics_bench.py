@@ -29,9 +29,9 @@ from .estimator import (
 from .grid_basis import BASIS_FAMILIES, analyze, basis_for
 from .process_sim import (
     PanelConfig,
-    covariance_matrix,
     eval_signal,
     generate_panel,
+    process_variance,
     replicate_configs,
     sigma_k_theoretical,
 )
@@ -64,6 +64,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not isinstance(self.oracle_checks, bool):  # bool("false") would be True
+            raise ValueError(f"oracle_checks must be True or False, got {self.oracle_checks!r}")
+        if self.oracle_checks and self.replicates < 2:
+            raise ValueError("oracle checks need replicates >= 2 for thm3's MC standard error")
         if not self.estimators:
             raise ValueError("estimator list is empty")
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -235,7 +239,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         )
     process_var = None
     if "competitor_theoretical" in config.bands:
-        process_var = np.diag(covariance_matrix(template.process, template.grid))
+        process_var = process_variance(template.process, template.grid)
 
     est_errs = np.empty((len(config.estimators), S))
     band_cov = np.zeros(len(config.bands), dtype=int)

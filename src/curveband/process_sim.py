@@ -5,8 +5,8 @@ families (Brownian bridge, Brownian motion, stationary AR(1), and its
 cumulative-sum integration), with calibration of the noise level via the
 process-to-noise variance ratio and of the signal amplitude via a target
 signal-to-noise ratio.  Each family is defined once, by its covariance
-matrix on the grid: paths are drawn from its Cholesky factor, and the
-theoretical coefficient variances are computed from it.
+matrix on the grid, which no other module reads: paths and the
+theoretical coefficient variances come from its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
     "Calibration",
     "eval_signal",
     "covariance_matrix",
-    "median_process_variance",
+    "process_variance",
     "calibrate",
     "generate_panel",
     "replicate_configs",
@@ -170,8 +170,10 @@ def _cholesky_t(process: ProcessSpec, grid: Grid) -> np.ndarray:
     return upper
 
 
-def median_process_variance(process: ProcessSpec, grid: Grid) -> float:
-    return float(np.median(np.diag(covariance_matrix(process, grid))))
+def process_variance(process: ProcessSpec, grid: Grid) -> np.ndarray:
+    """Gamma(t_j, t_j) on the grid; not read from the one-entry factor cache,
+    which calibrate's three processes in a row would evict."""
+    return np.diag(covariance_matrix(process, grid))
 
 
 @dataclass(frozen=True)
@@ -188,13 +190,13 @@ def _match_innovation(process: ProcessSpec, grid: Grid) -> ProcessSpec:
     stationary variance is constant); arima11 matches Brownian motion's.
     """
     if process.kind == "ar1":
-        target = median_process_variance(ProcessSpec(kind="bb"), grid)
+        target = np.median(process_variance(ProcessSpec(kind="bb"), grid))
         sd = np.sqrt(target * (1.0 - process.ar_phi**2))
         return replace(process, innovation_sd=float(sd))
     if process.kind == "arima11":
-        target = median_process_variance(ProcessSpec(kind="bm"), grid)
+        target = np.median(process_variance(ProcessSpec(kind="bm"), grid))
         unit = replace(process, innovation_sd=1.0)
-        base_median = median_process_variance(unit, grid)
+        base_median = np.median(process_variance(unit, grid))
         return replace(process, innovation_sd=float(np.sqrt(target / base_median)))
     return process
 
@@ -216,7 +218,7 @@ def calibrate(
     if not (0.0 < sigma_star < np.inf and 0.0 < snr < np.inf):
         raise ValueError("sigma_star and snr must be finite and positive")
     process = _match_innovation(process, grid)
-    var_z = median_process_variance(process, grid)
+    var_z = float(np.median(process_variance(process, grid)))
     noise_sd = float(np.sqrt(var_z / sigma_star))
     values = eval_signal(signal, grid)
     rng_f = float(np.max(values) - np.min(values))
@@ -232,23 +234,18 @@ def calibrate(
     return Calibration(noise_sd=noise_sd, signal=scaled, process=process)
 
 
-def generate_panel(config: PanelConfig, zero_process: bool = False) -> CurvePanel:
+def generate_panel(config: PanelConfig) -> CurvePanel:
     """n independent noisy curves; deterministic given the seed.
 
     One generator per panel draws the n x m standard normals N first and
     the noise second, and the paths are N L^T with L the Cholesky factor
-    of the process covariance.  zero_process is a test hook that replaces
-    every path by zeros.
+    of the process covariance.
     """
     grid = config.grid
     f = eval_signal(config.signal, grid)
     rng = np.random.default_rng(config.seed)
     shape = (config.n, grid.m)
-    if zero_process:
-        paths = np.zeros(shape)
-    else:
-        paths = rng.standard_normal(shape) @ _cholesky_t(config.process, grid)
-    Y = f + paths
+    Y = f + rng.standard_normal(shape) @ _cholesky_t(config.process, grid)
     if config.noise_sd > 0.0:
         Y += rng.normal(0.0, config.noise_sd, shape)
     return CurvePanel(grid=grid, Y=Y, true_mean=f)
@@ -264,20 +261,13 @@ def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
     return [replace(template, seed=int(seed)) for seed in seeds]
 
 
-def sigma_k_theoretical(process, basis: BasisMatrix) -> np.ndarray:
-    """Coefficient variances sigma_k^2 = (1/m^2) sum_jj' Gamma phi_k phi_k.
+def sigma_k_theoretical(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:
+    """Coefficient variances sigma_k^2 = (1/m^2) phi_k' Gamma phi_k.
 
-    Accepts a ProcessSpec or a precomputed m x m kernel matrix (the latter
-    covers kernels outside the process families, e.g. white noise).
+    With Gamma = L L^T this is |L^T phi_k|^2 / m^2, read from the factor the
+    panels are drawn from, so it is a sum of squares and never negative.
     """
-    if isinstance(process, ProcessSpec):
-        kernel = covariance_matrix(process, basis.grid)
-    else:
-        kernel = np.asarray(process, dtype=float)
-        if kernel.shape != (basis.m, basis.m):
-            raise ValueError(f"kernel must be {basis.m}x{basis.m}, got {kernel.shape}")
-    phi = basis.values
-    out = np.sum(phi * (kernel @ phi), axis=0) / basis.m**2
-    if np.any(out < -1e-12):
-        raise ValueError("kernel produced substantially negative coefficient variances")
-    return np.maximum(out, 0.0)
+    if not isinstance(process, ProcessSpec):
+        raise TypeError(f"sigma_k_theoretical needs a ProcessSpec, got {type(process).__name__}")
+    proj = _cholesky_t(process, basis.grid) @ basis.values
+    return np.sum(proj**2, axis=0) / basis.m**2

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from curveband import bands
 from curveband.grid_basis import analyze, fourier_basis, make_grid
 from curveband.process_sim import (
+    CurvePanel,
     PanelConfig,
     ProcessSpec,
     SignalSpec,
@@ -29,6 +31,7 @@ from curveband.estimator import (
 from curveband.bands import (
     ConfidenceBand,
     CoverageReport,
+    _build_band,
     competitor_band,
     coverage_experiment,
     covers,
@@ -231,20 +234,18 @@ def test_coverage_report_validation():
 
 
 def test_coverage_experiment_degenerate_full_coverage():
-    # with the zero signal everything is exactly zero, so the zero-width
-    # band covers; for a generic signal the center carries ~1e-16 synthesis
-    # roundtrip error, so a tiny delta is needed to give the band any width
+    # every curve equals the signal.  With the zero signal everything is
+    # exactly zero, so the zero-width band covers; for a generic signal the
+    # center carries ~1e-16 synthesis roundtrip error, so a tiny delta is
+    # needed to give the band any width
     g = make_grid(16)
-    zero_sig = SignalSpec(kind="signal1", c1=0.0, c2=0.0)
-    cfg0 = PanelConfig(n=4, grid=g, signal=zero_sig, process=ProcessSpec(kind="bb"),
-                       noise_sd=0.0, seed=11)
-    cfg1 = PanelConfig(n=4, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
-                       noise_sd=0.0, seed=11)
-    for kind in ["proposed_hard1", "proposed_hard3", "proposed_soft2"]:
-        rep = coverage_experiment(cfg0, kind, S=10, zero_process=True)
-        assert rep.covered_count == 10
-        rep = coverage_experiment(cfg1, kind, S=10, zero_process=True, delta=1e-9)
-        assert rep.coverage == 1.0
+    b = fourier_basis(g)
+    for signal, delta in ((SignalSpec(kind="signal1", c1=0.0, c2=0.0), 0.0), (SignalSpec(), 1e-9)):
+        f = eval_signal(signal, g)
+        panel = CurvePanel(grid=g, Y=np.tile(f, (4, 1)))
+        stats = pooled_stats(per_curve_coeffs(panel, b), 0.05, delta)
+        for kind in ["proposed_hard1", "proposed_hard3", "proposed_soft2"]:
+            assert covers(_build_band(kind, b, stats, None), f) is True
 
 
 def test_coverage_experiment_validation_and_notes():
@@ -261,6 +262,20 @@ def test_coverage_experiment_validation_and_notes():
         coverage_experiment(cfg, "proposed_hard1", S=2, basis_family="fourir")
     rep = coverage_experiment(cfg, "competitor_sample_var", S=3)
     assert any("least-squares" in note for note in rep.notes)
+
+
+def test_coverage_experiment_failure_carries_replicate_seed(monkeypatch):
+    g = make_grid(8)
+    cfg = PanelConfig(n=4, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
+                      noise_sd=0.1, seed=1)
+    seed = int(np.random.SeedSequence(cfg.seed).generate_state(1, dtype=np.uint64)[0])
+
+    def boom(config):
+        raise ValueError("synthetic failure")
+
+    monkeypatch.setattr(bands, "generate_panel", boom)
+    with pytest.raises(RuntimeError, match=rf"replicate 0 failed \(panel seed {seed}\): synthetic failure"):
+        coverage_experiment(cfg, "proposed_hard1", S=3)
 
 
 def test_coverage_experiment_single_replicate_echo():

@@ -391,6 +391,38 @@ def test_scenario_unknown_keys_exit1(tmp_path, capsys):
             assert needle in capsys.readouterr().err
 
 
+def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
+    # int(2.9) is 2 and bool("false") is True; both ran before
+    out = tmp_path / "x"
+    cases = (
+        ({"oracle_checks": "false"}, "oracle_checks"),
+        ({"oracle_checks": 1, "replicates": 3}, "oracle_checks"),
+        ({"replicates": 2.9}, "replicates"),
+        ({"replicates": "3"}, "replicates"),
+        ({"replicates": True}, "replicates"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"panel": {**_PANEL, "n": 20.5}}, "n must be"),
+        ({"oracle_checks": True, "replicates": 1}, "replicates >= 2"),
+    )
+    for top, needle in cases:
+        scen = _scenario_file(tmp_path, **top)
+        assert _run("bench", "--scenario", scen, "--out", out) == 1, top
+        assert needle in capsys.readouterr().err
+    # a whole float is still a count, and real booleans pass
+    scen = _scenario_file(tmp_path, replicates=2.0, base_seed=4, oracle_checks=False)
+    assert _run("bench", "--scenario", scen, "--out", out) == 0
+    assert json.loads((tmp_path / "x.json").read_text())["provenance"]["replicates"] == 2
+
+
+def test_sparsity_rejects_fewer_than_one_curve(tmp_path, capsys):
+    # n = 0 and n < 0 gave infinite or NaN levels and an empty active set
+    out = tmp_path / "s.json"
+    for n in (0, -5):
+        assert _run("sparsity", "--n", n, "--m", 16, "--out", out) == 1
+        assert "n >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_band_rejects_delta_for_competitor_kinds(tmp_path, capsys):
     g = make_grid(16)
     ppath = tmp_path / "p.csv"

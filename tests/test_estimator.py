@@ -146,6 +146,14 @@ def test_theoretical_levels_rejects_nan_and_inf():
             theoretical_levels(**{**good, "sigma_k": np.array([0.1, bad, 0.1, 0.1])})
 
 
+def test_theoretical_levels_rejects_fewer_than_one_curve():
+    # n = 0 gave infinite levels and n < 0 NaN ones, so nothing was active
+    for n in [0, -5]:
+        with pytest.raises(ValueError, match="n >= 1"):
+            theoretical_levels(np.full(4, 0.1), 0.2, n=n, m=4, alpha=0.05)
+    theoretical_levels(np.full(4, 0.1), 0.2, n=1, m=4, alpha=0.05)
+
+
 def test_theoretical_levels_white_noise_arithmetic():
     # sigma_k^2 = tau^2/m for white noise, so r_k is constant across k
     tau2, se2, n, m = 0.5, 0.25, 64, 16
@@ -265,9 +273,7 @@ def test_degenerate_panel_recovers_signal():
     # no process, no noise, delta=0: thresholding changes nothing
     g = make_grid(64)
     b = fourier_basis(g)
-    cfg = PanelConfig(n=4, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
-                      noise_sd=0.0, seed=1)
-    panel = generate_panel(cfg, zero_process=True)
+    panel = CurvePanel(grid=g, Y=np.tile(eval_signal(SignalSpec(), g), (4, 1)))
     st = pooled_stats(per_curve_coeffs(panel, b), alpha=0.05, delta=0.0)
     est = hard_threshold(st, b)
     assert_array_equal(est.coeffs, st.mu_hat)

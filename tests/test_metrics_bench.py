@@ -220,9 +220,16 @@ def test_scenario_config_validation():
     base = _scenario()
     for field, bad in (("band_alpha", 1.5), ("band_alpha", 0.0), ("band_alpha", float("nan")),
                        ("oracle_alpha", 1.0), ("oracle_alpha", -0.1), ("oracle_delta", -0.01),
-                       ("oracle_delta", float("nan")), ("oracle_delta", float("inf"))):
+                       ("oracle_delta", float("nan")), ("oracle_delta", float("inf")),
+                       ("oracle_checks", "false"), ("oracle_checks", 1)):
         with pytest.raises(ValueError, match=field):
             replace(base, **{field: bad})
+    # thm3's MC standard error needs two replicates; a single one used to
+    # fail only after every replicate had run
+    with pytest.raises(ValueError, match="replicates >= 2"):
+        _scenario(S=1, oracle=True)
+    with pytest.raises(ValueError, match="replicates >= 2"):
+        replace(_scenario(S=2, oracle=True), replicates=1)
 
 
 def test_run_scenario_single_replicate_echo():
@@ -327,7 +334,7 @@ def test_run_scenario_analyses_each_family_once_per_replicate(monkeypatch):
 def test_run_scenario_failure_carries_replicate_seed(monkeypatch):
     cfg = _scenario(S=3)
 
-    def boom(config, zero_process=False):
+    def boom(config):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(mb, "generate_panel", boom)

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curveband import process_sim
-from curveband.grid_basis import fourier_basis, make_grid
+from curveband.grid_basis import basis_for, fourier_basis, make_grid
 from curveband.process_sim import (
     CurvePanel,
     PanelConfig,
@@ -19,7 +19,7 @@ from curveband.process_sim import (
     covariance_matrix,
     eval_signal,
     generate_panel,
-    median_process_variance,
+    process_variance,
     sigma_k_theoretical,
 )
 
@@ -188,10 +188,17 @@ def test_near_unit_root_panels_are_finite(kind, phi):
 
 def test_median_process_variance():
     g = make_grid(256)
-    assert median_process_variance(ProcessSpec(kind="bb"), g) == pytest.approx(3.0 / 16.0, abs=1e-3)
-    assert median_process_variance(ProcessSpec(kind="bm"), g) == pytest.approx(0.5, abs=1e-12)
+    assert np.median(process_variance(ProcessSpec(kind="bb"), g)) == pytest.approx(3.0 / 16.0, abs=1e-3)
+    assert np.median(process_variance(ProcessSpec(kind="bm"), g)) == pytest.approx(0.5, abs=1e-12)
     sd = np.sqrt(0.2 * 0.75)
-    assert median_process_variance(ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=sd), g) == pytest.approx(0.2)
+    assert np.median(process_variance(ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=sd), g)) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
+def test_process_variance_is_the_covariance_diagonal(kind):
+    g = make_grid(64)
+    p = ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3)
+    assert np.array_equal(process_variance(p, g), np.diag(covariance_matrix(p, g)))
 
 
 def test_calibrate_noise_level_bb():
@@ -216,11 +223,11 @@ def test_calibrate_snr_scaling_and_idempotence():
 def test_calibrate_matches_ar_innovations():
     g = make_grid(64)
     cal = calibrate(ProcessSpec(kind="ar1", ar_phi=0.5), g, 1.0, 1.5, SignalSpec())
-    bb_med = median_process_variance(ProcessSpec(kind="bb"), g)
-    assert median_process_variance(cal.process, g) == pytest.approx(bb_med, rel=1e-12)
+    bb_med = np.median(process_variance(ProcessSpec(kind="bb"), g))
+    assert np.median(process_variance(cal.process, g)) == pytest.approx(bb_med, rel=1e-12)
     cal2 = calibrate(ProcessSpec(kind="arima11", ar_phi=0.5), g, 1.0, 1.5, SignalSpec())
-    bm_med = median_process_variance(ProcessSpec(kind="bm"), g)
-    assert median_process_variance(cal2.process, g) == pytest.approx(bm_med, rel=1e-12)
+    bm_med = np.median(process_variance(ProcessSpec(kind="bm"), g))
+    assert np.median(process_variance(cal2.process, g)) == pytest.approx(bm_med, rel=1e-12)
 
 
 def test_calibrate_rejects_zero_range():
@@ -237,13 +244,15 @@ def test_calibrate_rejects_zero_range():
 
 
 def test_generate_panel_degenerate_rows_equal_signal():
+    # without noise every row is the signal plus that row's path, and the
+    # panel's true mean is the signal itself
     g = make_grid(16)
     cfg = PanelConfig(n=5, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
                       noise_sd=0.0, seed=4)
-    panel = generate_panel(cfg, zero_process=True)
+    panel = generate_panel(cfg)
     f = eval_signal(SignalSpec(), g)
-    for i in range(5):
-        assert_allclose(panel.Y[i], f, rtol=0, atol=0)
+    assert np.array_equal(panel.true_mean, f)
+    assert_allclose(panel.Y - f, _paths(cfg.process, g, 5, 4), rtol=0, atol=1e-15)
 
 
 def test_generate_panel_deterministic():
@@ -261,7 +270,7 @@ def test_generate_panel_clt_band():
     cfg = PanelConfig(n=400, grid=g, signal=cal.signal, process=cal.process,
                       noise_sd=cal.noise_sd, seed=314)
     panel = generate_panel(cfg)
-    var_z = median_process_variance(cal.process, g)
+    var_z = np.median(process_variance(cal.process, g))
     bound = 4.0 * np.sqrt((var_z + cal.noise_sd**2) / 400.0)
     assert np.all(np.abs(panel.Y.mean(axis=0) - panel.true_mean) < bound)
 
@@ -279,18 +288,6 @@ def test_panel_config_and_panel_validation():
         CurvePanel(grid=g, Y=np.array([[1.0, 2.0, np.nan, 4.0]] * 2))
 
 
-def test_sigma_k_white_noise_kernel():
-    b = fourier_basis(make_grid(32))
-    tau2 = 0.7
-    out = sigma_k_theoretical(tau2 * np.eye(32), b)
-    assert_allclose(out, np.full(32, tau2 / 32.0), rtol=1e-12)
-
-
-def test_sigma_k_zero_kernel():
-    b = fourier_basis(make_grid(16))
-    assert np.all(sigma_k_theoretical(np.zeros((16, 16)), b) == 0.0)
-
-
 def test_sigma_k_bb_constant_function_mc():
     # sigma_1^2 is the variance of the path average; check against MC
     g = make_grid(32)
@@ -305,7 +302,26 @@ def test_sigma_k_bb_constant_function_mc():
         assert abs(mc - s2[k]) < 3.0 * se
 
 
-def test_sigma_k_rejects_wrong_shape():
+def _sigma_k_from_kernel(process, basis):
+    """The kernel form (1/m^2) sum_k phi_k * (Gamma phi_k), built without the factor."""
+    phi = basis.values
+    return np.sum(phi * (covariance_matrix(process, basis.grid) @ phi), axis=0) / basis.m**2
+
+
+@pytest.mark.parametrize("family", ["fourier", "haar"])
+@pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
+def test_sigma_k_matches_kernel_form(kind, family):
+    b = basis_for(family, make_grid(64))
+    p = ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3)
+    s2 = sigma_k_theoretical(p, b)
+    ref = _sigma_k_from_kernel(p, b)
+    assert np.all(s2 >= 0.0)
+    # relative to the largest variance: both forms round at that scale, so
+    # the smallest arima11 entries differ by up to 4e-13 of themselves
+    assert np.max(np.abs(s2 - ref)) <= 1e-14 * np.max(ref)
+
+
+def test_sigma_k_rejects_a_kernel_matrix():
     b = fourier_basis(make_grid(8))
-    with pytest.raises(ValueError):
-        sigma_k_theoretical(np.eye(7), b)
+    with pytest.raises(TypeError, match="ProcessSpec"):
+        sigma_k_theoretical(np.eye(8), b)
