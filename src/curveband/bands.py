@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import (
-    MeanEstimate,
     CoefficientStats,
     fit,
     normal_quantile,
@@ -40,10 +39,6 @@ __all__ = [
     "ConfidenceBand",
     "CoverageReport",
     "BAND_KINDS",
-    "proposed_band",
-    "untruncated_band",
-    "competitor_band",
-    "sample_variance_curves",
     "covers",
     "coverage_experiment",
 ]
@@ -72,6 +67,8 @@ class ConfidenceBand:
 
     def __post_init__(self):
         half = np.asarray(self.half_width, dtype=float)
+        if half.shape != np.shape(self.center):
+            raise ValueError("half_width must have the shape of center")
         if not np.all(np.isfinite(half) & (half >= 0.0)):
             raise ValueError("half_width must be finite and nonnegative")
 
@@ -102,67 +99,6 @@ class CoverageReport:
         return self.covered_count / self.replicates
 
 
-def proposed_band(
-    estimate: MeanEstimate,
-    stats: CoefficientStats,
-    basis: BasisMatrix,
-    width_multiplier: float,
-) -> ConfidenceBand:
-    """Adaptive band around a multiplier-1 threshold estimate.
-
-    half_width(t_j) = width_multiplier * sum_k r_tilde_k |phi_k(t_j)| over
-    coefficients with |mu_hat_k| strictly above r_hat_k.  Hard centers pair
-    with width multipliers 1 and 3, the soft center with 2.
-    """
-    if estimate.level_multiplier != 1:
-        raise ValueError("proposed bands require a multiplier-1 center estimate")
-    kinds = {width: kind for kind, (rule, width) in _PROPOSED_BANDS.items() if rule == estimate.rule}
-    if not kinds:
-        raise ValueError(f"no proposed band for rule {estimate.rule!r}")
-    if width_multiplier not in kinds:
-        widths = " or ".join(map(str, kinds))
-        raise ValueError(f"{estimate.rule}-centered band takes width multiplier {widths}")
-    kind = kinds[width_multiplier]
-    indicator = np.abs(stats.mu_hat) > stats.r_hat
-    half = width_multiplier * (np.abs(basis.values) @ (stats.r_tilde * indicator))
-    return ConfidenceBand(kind=kind, center=estimate.values, half_width=half, alpha=stats.alpha)
-
-
-def untruncated_band(stats: CoefficientStats, estimate: MeanEstimate, basis: BasisMatrix) -> ConfidenceBand:
-    """Level sums over every coefficient, no activity indicator."""
-    if estimate.rule != "hard" or estimate.level_multiplier != 1:
-        raise ValueError("untruncated band centers at the multiplier-1 hard estimate")
-    half = np.abs(basis.values) @ stats.r_hat
-    return ConfidenceBand(kind="untruncated_ls", center=estimate.values, half_width=half, alpha=stats.alpha)
-
-
-def competitor_band(
-    center: np.ndarray,
-    variance_fn: np.ndarray,
-    n: int,
-    m: int,
-    alpha: float,
-    kind: str = "competitor_theoretical",
-) -> ConfidenceBand:
-    """Pointwise normal band sqrt(V(t_j)/n) * z(alpha/2m), simultaneous by Bonferroni."""
-    v = np.asarray(variance_fn, dtype=float)
-    if v.shape != (m,):
-        raise ValueError(f"variance function must have length {m}")
-    if np.any(v < 0.0):
-        raise ValueError("variance function must be nonnegative")
-    if kind not in COMPETITOR_KINDS:
-        raise ValueError(f"unknown competitor band kind {kind!r}")
-    z = normal_quantile(alpha / (2.0 * m))
-    half = np.sqrt(v / n) * z
-    return ConfidenceBand(kind=kind, center=np.asarray(center, dtype=float), half_width=half, alpha=alpha)
-
-
-def sample_variance_curves(per_curve: np.ndarray, basis: BasisMatrix) -> np.ndarray:
-    """V(t_j): sample variance across reconstructed curves at each grid point."""
-    curves = per_curve @ basis.values.T
-    return curves.var(axis=0, ddof=1)
-
-
 def covers(band: ConfidenceBand, target: np.ndarray) -> bool:
     """Simultaneous containment at every grid point."""
     tgt = np.asarray(target, dtype=float)
@@ -171,20 +107,41 @@ def covers(band: ConfidenceBand, target: np.ndarray) -> bool:
     return bool(np.all((tgt >= band.lower) & (tgt <= band.upper)))
 
 
-def _build_band(kind, basis, stats, process_var) -> ConfidenceBand:
-    """One band of the given kind; process_var, the known pointwise process
-    variance, is read by competitor_theoretical only."""
+def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_var=None) -> ConfidenceBand:
+    """One band of the given kind from the pooled stats, at their alpha.
+
+    Proposed kinds center at their rule's multiplier-1 estimate, with
+    half_width(t_j) = width * sum_k r_tilde_k |phi_k(t_j)| over coefficients
+    with |mu_hat_k| strictly above r_hat_k.  untruncated_ls centers at the
+    hard estimate and sums r_hat_k |phi_k(t_j)| over every coefficient.
+    The competitor kinds center at the least-squares mean, with
+    half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
+    Bonferroni: V is process_var, the known pointwise process variance, for
+    competitor_theoretical, and the sample variance across the
+    reconstructed curves for competitor_sample_var.
+    """
     if kind in _PROPOSED_BANDS:
         rule, width = _PROPOSED_BANDS[kind]
-        return proposed_band(fit(rule, stats, basis), stats, basis, width)
-    if kind == "untruncated_ls":
-        return untruncated_band(stats, fit("hard", stats, basis), basis)
-    ls = fit("least_squares", stats, basis)
-    if kind == "competitor_theoretical":
-        v = process_var
+        indicator = np.abs(stats.mu_hat) > stats.r_hat
+        half = width * (np.abs(basis.values) @ (stats.r_tilde * indicator))
+    elif kind == "untruncated_ls":
+        rule = "hard"
+        half = np.abs(basis.values) @ stats.r_hat
+    elif kind in COMPETITOR_KINDS:
+        rule = "least_squares"
+        if kind == "competitor_theoretical":
+            v = np.asarray(process_var, dtype=float)
+            if v.shape != (basis.m,):
+                raise ValueError(f"variance function must have length {basis.m}")
+            if np.any(v < 0.0):
+                raise ValueError("variance function must be nonnegative")
+        else:
+            v = (stats.per_curve @ basis.values.T).var(axis=0, ddof=1)
+        half = np.sqrt(v / stats.n) * normal_quantile(stats.alpha / (2.0 * basis.m))
     else:
-        v = sample_variance_curves(stats.per_curve, basis)
-    return competitor_band(ls.values, v, stats.n, basis.m, stats.alpha, kind=kind)
+        raise ValueError(f"unknown band kind {kind!r}")
+    center = fit(rule, stats, basis).values
+    return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
 
 def coverage_experiment(

@@ -60,9 +60,7 @@ _PANEL_FLAGS = (*_SIMULATE_DEFAULTS, "sigma_star", "snr", "ar_phi", "innovation_
 def signal_from_dict(d: dict) -> SignalSpec:
     kw = dict(d)
     kind = kw.pop("kind", "signal1")
-    if "custom_values" in kw:
-        kw["custom_values"] = tuple(kw["custom_values"])
-    spec = SignalSpec(kind=kind, **kw)
+    spec = SignalSpec(kind=kind, **_reals(kw))
     _check_keys(kw, _SIGNAL_KEYS[kind], f"{kind} signal")
     return spec
 
@@ -70,9 +68,16 @@ def signal_from_dict(d: dict) -> SignalSpec:
 def process_from_dict(d: dict) -> ProcessSpec:
     kw = dict(d)
     kind = kw.pop("kind", "bb")
-    spec = ProcessSpec(kind=kind, **kw)
+    spec = ProcessSpec(kind=kind, **_reals(kw))
     _check_keys(kw, _PROCESS_KEYS[kind], f"{kind} process")
     return spec
+
+
+def _real(value, key: str) -> float:
+    """A number; float() would take true as 1.0 and parse "0.05"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, key: str) -> int:
@@ -80,6 +85,20 @@ def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _reals(block: dict) -> dict:
+    """The block's values as floats, and its lists as tuples of floats."""
+    return {
+        key: tuple(_real(v, key) for v in value) if isinstance(value, list) else _real(value, key)
+        for key, value in block.items()
+    }
+
+
+def candidate_from_dict(d: dict) -> CandidateSpec:
+    kw = dict(d)
+    kw.update(_reals({key: kw[key] for key in ("multiplier", "alpha") if key in kw}))
+    return CandidateSpec(**kw)
 
 
 def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
@@ -90,10 +109,10 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
     process = process_from_dict(d.get("process", {}))
     if "calibration" in d:
         cal = d["calibration"]
-        calib = calibrate(process, grid, float(cal["sigma_star"]), float(cal["snr"]), signal)
+        calib = calibrate(process, grid, _real(cal["sigma_star"], "sigma_star"), _real(cal["snr"], "snr"), signal)
         noise_sd, signal, process = calib.noise_sd, calib.signal, calib.process
     else:
-        noise_sd = float(d["noise_sd"])
+        noise_sd = _real(d["noise_sd"], "noise_sd")
     seed = _integer(seed_override if seed_override is not None else d.get("seed", 0), "seed")
     return PanelConfig(
         n=_integer(d["n"], "n"), grid=grid, signal=signal, process=process,
@@ -103,7 +122,7 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
 
 def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     panel = panel_config_from_dict(d["panel"])
-    estimators = tuple(CandidateSpec(**e) for e in d["estimators"])
+    estimators = tuple(candidate_from_dict(e) for e in d["estimators"])
     base = d.get("base_seed", 0)
     if seed_override is not None:
         base = seed_override
@@ -114,10 +133,10 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
         replicates=_integer(d.get("replicates", 100), "replicates"),
         base_seed=_integer(base, "base_seed"),
         band_basis_family=d.get("band_basis_family", "fourier"),
-        band_alpha=float(d.get("band_alpha", 0.05)),
+        band_alpha=_real(d.get("band_alpha", 0.05), "band_alpha"),
         oracle_checks=d.get("oracle_checks", False),
-        oracle_alpha=float(d.get("oracle_alpha", 0.05)),
-        oracle_delta=float(d.get("oracle_delta", 0.01)),
+        oracle_alpha=_real(d.get("oracle_alpha", 0.05), "oracle_alpha"),
+        oracle_delta=_real(d.get("oracle_delta", 0.01), "oracle_delta"),
     )
 
 
@@ -176,21 +195,17 @@ def _write_table_csv(path: str, header, columns):
 
 
 def _panel_echo(config: PanelConfig) -> dict:
-    sig = {"kind": config.signal.kind, "c1": config.signal.c1, "c2": config.signal.c2, "c3": config.signal.c3}
-    if config.signal.custom_values is not None:
-        sig["custom_values"] = list(config.signal.custom_values)
+    """A panel block that regenerates config: the keys the reader takes for
+    each signal and process kind, with noise_sd and the signal and process
+    parameters a calibration derived in place of the calibration block."""
+    signal, process = config.signal, config.process
     return {
         "n": config.n,
         "m": config.grid.m,
-        "signal": sig,
-        "process": {
-            "kind": config.process.kind,
-            "ar_phi": config.process.ar_phi,
-            "innovation_sd": config.process.innovation_sd,
-        },
+        "signal": {"kind": signal.kind, **{key: getattr(signal, key) for key in _SIGNAL_KEYS[signal.kind]}},
+        "process": {"kind": process.kind, **{key: getattr(process, key) for key in _PROCESS_KEYS[process.kind]}},
         "noise_sd": config.noise_sd,
         "seed": config.seed,
-        "signal_form": "negative_exponent_gaussians_or_indicators",
     }
 
 
@@ -264,7 +279,7 @@ def cmd_select(args) -> int:
     panel = read_panel_csv(args.panel)
     if args.scenario:
         _reject_given(args, ("alpha",), "the --scenario candidates carry their own alpha")
-        cands = [CandidateSpec(**e) for e in _load_scenario(args.scenario)["estimators"]]
+        cands = [candidate_from_dict(e) for e in _load_scenario(args.scenario)["estimators"]]
         echo = {"scenario": args.scenario}
     else:
         alpha = 0.05 if args.alpha is None else args.alpha

@@ -27,9 +27,6 @@ __all__ = [
     "per_curve_coeffs",
     "pooled_stats",
     "theoretical_levels",
-    "hard_threshold",
-    "soft_threshold",
-    "least_squares",
     "fit",
     "truncated_target",
     "sparsity_report",
@@ -65,8 +62,6 @@ class TheoreticalLevels:
     statistics pooled at another n, alpha or delta than these levels.
     """
 
-    sigma_k: np.ndarray
-    sigma_eps: float
     r_k: np.ndarray
     r_bar: np.ndarray
     alpha: float
@@ -81,8 +76,6 @@ class MeanEstimate:
     coeffs: np.ndarray
     active: np.ndarray
     values: np.ndarray
-    stats: CoefficientStats
-    basis_family: str
 
 
 def normal_quantile(p: float) -> float:
@@ -144,60 +137,35 @@ def theoretical_levels(
     z = normal_quantile(alpha / (2.0 * m))
     r_k = np.sqrt((sk**2 + sigma_eps**2 / m) / n) * z
     r_bar = r_k + 2.0 * delta * z / np.sqrt(n)
-    return TheoreticalLevels(
-        sigma_k=sk, sigma_eps=float(sigma_eps), r_k=r_k, r_bar=r_bar,
-        alpha=alpha, delta=delta, n=n,
-    )
-
-
-def _check_multiplier(multiplier: float):
-    if multiplier not in (1, 2):
-        raise ValueError(f"threshold multiplier must be 1 or 2, got {multiplier}")
-
-
-def hard_threshold(stats: CoefficientStats, basis: BasisMatrix, multiplier: float = 1) -> MeanEstimate:
-    """Keep-or-kill at level multiplier * r_hat_k (keep on ties)."""
-    _check_multiplier(multiplier)
-    level = multiplier * stats.r_hat
-    active = np.abs(stats.mu_hat) >= level
-    coeffs = np.where(active, stats.mu_hat, 0.0)
-    return MeanEstimate(
-        rule="hard", level_multiplier=float(multiplier), coeffs=coeffs, active=active,
-        values=synthesize(coeffs, basis), stats=stats, basis_family=basis.family,
-    )
-
-
-def soft_threshold(stats: CoefficientStats, basis: BasisMatrix, multiplier: float = 1) -> MeanEstimate:
-    """Shrink toward zero by multiplier * r_hat_k, zeroing crossings."""
-    _check_multiplier(multiplier)
-    level = multiplier * stats.r_hat
-    active = np.abs(stats.mu_hat) >= level
-    coeffs = np.sign(stats.mu_hat) * np.maximum(np.abs(stats.mu_hat) - level, 0.0)
-    return MeanEstimate(
-        rule="soft", level_multiplier=float(multiplier), coeffs=coeffs, active=active,
-        values=synthesize(coeffs, basis), stats=stats, basis_family=basis.family,
-    )
-
-
-def least_squares(stats: CoefficientStats, basis: BasisMatrix) -> MeanEstimate:
-    """Untruncated reconstruction from the pooled coefficients."""
-    coeffs = stats.mu_hat.copy()
-    active = np.ones(stats.m, dtype=bool)
-    return MeanEstimate(
-        rule="least_squares", level_multiplier=1.0, coeffs=coeffs, active=active,
-        values=synthesize(coeffs, basis), stats=stats, basis_family=basis.family,
-    )
+    return TheoreticalLevels(r_k=r_k, r_bar=r_bar, alpha=alpha, delta=delta, n=n)
 
 
 def fit(rule: str, stats: CoefficientStats, basis: BasisMatrix, multiplier: float = 1) -> MeanEstimate:
-    """Mean estimate by the named rule; least squares ignores the multiplier."""
-    if rule == "hard":
-        return hard_threshold(stats, basis, multiplier)
-    if rule == "soft":
-        return soft_threshold(stats, basis, multiplier)
+    """Mean estimate by the named rule at the levels multiplier * r_hat_k.
+
+    hard keeps mu_hat_k where |mu_hat_k| reaches the level (keep on ties);
+    soft shrinks it toward zero by the level, zeroing crossings;
+    least_squares keeps every mu_hat_k and ignores the multiplier.
+    """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
     if rule == "least_squares":
-        return least_squares(stats, basis)
-    raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
+        multiplier = 1
+        coeffs = stats.mu_hat.copy()
+        active = np.ones(stats.m, dtype=bool)
+    else:
+        if multiplier not in (1, 2):
+            raise ValueError(f"threshold multiplier must be 1 or 2, got {multiplier}")
+        level = multiplier * stats.r_hat
+        active = np.abs(stats.mu_hat) >= level
+        if rule == "hard":
+            coeffs = np.where(active, stats.mu_hat, 0.0)
+        else:
+            coeffs = np.sign(stats.mu_hat) * np.maximum(np.abs(stats.mu_hat) - level, 0.0)
+    return MeanEstimate(
+        rule=rule, level_multiplier=float(multiplier), coeffs=coeffs, active=active,
+        values=synthesize(coeffs, basis),
+    )
 
 
 def truncated_target(mu: np.ndarray, levels: np.ndarray, basis: BasisMatrix):

@@ -1,13 +1,13 @@
 """Replicated-experiment scoring and non-asymptotic bound verification.
 
-mse_summary condenses per-replicate squared grid-L2 errors into root
-mean and root median.  The oracle checks test, on simulated data where
-the true mean and process covariance are known, the finite-sample
-inequalities the estimators are built around: two high-probability
-norm bounds relative to the truncated target, an expected-risk bound
-for thresholding at known levels, and the coefficient-accuracy event
-that underlies all of them.  run_scenario ties everything into one
-deterministic benchmark report.
+The oracle checks test, on simulated data where the true mean and
+process covariance are known, the finite-sample inequalities the
+estimators are built around: two high-probability norm bounds relative
+to the truncated target, an expected-risk bound for thresholding at
+known levels, and the coefficient-accuracy event that underlies all of
+them.  run_scenario ties everything into one deterministic benchmark
+report, scoring each estimator by the root mean and root median of its
+per-replicate squared grid-L2 errors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .process_sim import (
 __all__ = [
     "ScenarioConfig",
     "BenchReport",
-    "mse_summary",
     "omega_event_check",
     "oracle_check_thm1",
     "oracle_check_thm2",
@@ -115,18 +114,6 @@ class BenchReport:
             "oracle_pass_rates": dict(self.oracle_pass_rates),
             "provenance": dict(self.provenance),
         }
-
-
-def mse_summary(fitted, truth: np.ndarray):
-    """Root mean and root median of per-replicate squared grid-L2 errors."""
-    fits = np.asarray(fitted, dtype=float)
-    if fits.ndim == 1:
-        fits = fits[None, :]
-    truth = np.asarray(truth, dtype=float)
-    if fits.shape[0] < 1 or fits.shape[1] != truth.shape[0]:
-        raise ValueError("fitted must be an S x m array matching the truth length")
-    mses = np.mean((fits - truth) ** 2, axis=1)
-    return float(np.sqrt(np.mean(mses))), float(np.sqrt(np.median(mses)))
 
 
 def omega_event_check(stats: CoefficientStats, levels: TheoreticalLevels, mu_true: np.ndarray) -> bool:

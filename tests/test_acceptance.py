@@ -32,16 +32,15 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
-    hard_threshold,
+    fit,
     normal_quantile,
     per_curve_coeffs,
     pooled_stats,
-    soft_threshold,
     sparsity_report,
     theoretical_levels,
 )
 from curveband.selector import CandidateSpec, select
-from curveband.bands import coverage_experiment, proposed_band, untruncated_band
+from curveband.bands import _build_band, coverage_experiment
 from curveband.metrics_bench import ScenarioConfig, run_scenario
 
 
@@ -246,10 +245,9 @@ def test_criterion_09_width_relations():
     cfg = PanelConfig(n=50, grid=g, signal=cal.signal, process=cal.process,
                       noise_sd=cal.noise_sd, seed=99)
     st = pooled_stats(per_curve_coeffs(generate_panel(cfg), b), 0.05, 0.0)
-    est = hard_threshold(st, b, 1)
-    b1 = proposed_band(est, st, b, 1)
-    b3 = proposed_band(est, st, b, 3)
-    un = untruncated_band(st, est, b)
+    b1 = _build_band("proposed_hard1", b, st)
+    b3 = _build_band("proposed_hard3", b, st)
+    un = _build_band("untruncated_ls", b, st)
     triple_exact = np.array_equal(b3.half_width, 3.0 * b1.half_width)
     dominated = bool(np.all(b1.half_width <= un.half_width))
     ok = triple_exact and dominated
@@ -293,8 +291,8 @@ def test_criterion_11_soft_hard_gap_identity():
         st = CoefficientStats(mu_hat=mu, per_curve=np.tile(mu, (4, 1)),
                               s_k=np.zeros(64), n=4, alpha=0.05, delta=0.0,
                               r_hat=lev, r_tilde=lev)
-        hard = hard_threshold(st, b, 1).coeffs
-        soft = soft_threshold(st, b, 1).coeffs
+        hard = fit("hard", st, b, 1).coeffs
+        soft = fit("soft", st, b, 1).coeffs
         nz = hard != 0.0
         if not np.array_equal((hard - soft)[nz], (np.sign(mu) * lev)[nz]):
             failures += 1

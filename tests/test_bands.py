@@ -19,12 +19,9 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
-    hard_threshold,
-    least_squares,
     normal_quantile,
     per_curve_coeffs,
     pooled_stats,
-    soft_threshold,
     theoretical_levels,
     truncated_target,
 )
@@ -32,12 +29,8 @@ from curveband.bands import (
     ConfidenceBand,
     CoverageReport,
     _build_band,
-    competitor_band,
     coverage_experiment,
     covers,
-    proposed_band,
-    sample_variance_curves,
-    untruncated_band,
 )
 from curveband.metrics_bench import omega_event_check
 
@@ -66,13 +59,15 @@ def test_band_bounds_and_validation():
         with pytest.raises(ValueError, match="half_width"):
             ConfidenceBand(kind="proposed_hard1", center=np.zeros(2),
                            half_width=np.array([0.1, bad]), alpha=0.05)
+    for half in [np.zeros(3), np.float64(0.1), np.zeros((2, 1))]:
+        with pytest.raises(ValueError, match="shape of center"):
+            ConfidenceBand(kind="proposed_hard1", center=np.zeros(2), half_width=half, alpha=0.05)
 
 
 def test_proposed_band_no_active_coefficients():
     b = fourier_basis(make_grid(8))
     st = _stats([0.1, -0.05] + [0.0] * 6, [0.5] * 8)
-    est = hard_threshold(st, b, 1)
-    band = proposed_band(est, st, b, 1)
+    band = _build_band("proposed_hard1", b, st)
     assert np.all(band.center == 0.0)
     assert np.all(band.half_width == 0.0)
 
@@ -82,9 +77,8 @@ def test_proposed_band_single_active_constant_function():
     r_hat = np.array([1.0] + [10.0] * 7)
     r_tilde = np.array([0.7] + [9.0] * 7)
     st = _stats([5.0] + [0.0] * 7, r_hat, r_tilde)
-    for mult, rule in [(1, "hard"), (3, "hard"), (2, "soft")]:
-        est = hard_threshold(st, b, 1) if rule == "hard" else soft_threshold(st, b, 1)
-        band = proposed_band(est, st, b, mult)
+    for mult, kind in [(1, "proposed_hard1"), (3, "proposed_hard3"), (2, "proposed_soft2")]:
+        band = _build_band(kind, b, st)
         assert_allclose(band.half_width, np.full(8, mult * 0.7), rtol=1e-15)
 
 
@@ -93,8 +87,7 @@ def test_proposed_band_brute_force():
     b = fourier_basis(make_grid(16))
     st = _stats(rng.normal(size=16), np.abs(rng.normal(scale=0.5, size=16)),
                 np.abs(rng.normal(scale=0.8, size=16)))
-    est = hard_threshold(st, b, 1)
-    band = proposed_band(est, st, b, 3)
+    band = _build_band("proposed_hard3", b, st)
     for j in range(16):
         direct = 0.0
         for k in range(16):
@@ -103,29 +96,13 @@ def test_proposed_band_brute_force():
         assert abs(band.half_width[j] - 3.0 * direct) < 1e-12
 
 
-def test_proposed_band_pairing_errors():
-    b = fourier_basis(make_grid(4))
-    st = _stats([1.0] * 4, [0.1] * 4)
-    hard1 = hard_threshold(st, b, 1)
-    soft1 = soft_threshold(st, b, 1)
-    with pytest.raises(ValueError):
-        proposed_band(hard1, st, b, 2)
-    with pytest.raises(ValueError):
-        proposed_band(soft1, st, b, 3)
-    with pytest.raises(ValueError):
-        proposed_band(least_squares(st, b), st, b, 1)
-    with pytest.raises(ValueError):
-        proposed_band(hard_threshold(st, b, 2), st, b, 1)
-
-
 def test_hard3_width_is_three_times_hard1_exactly():
     rng = np.random.default_rng(8)
     b = fourier_basis(make_grid(32))
     st = _stats(rng.normal(size=32), np.abs(rng.normal(scale=0.5, size=32)),
                 np.abs(rng.normal(size=32)))
-    est = hard_threshold(st, b, 1)
-    b1 = proposed_band(est, st, b, 1)
-    b3 = proposed_band(est, st, b, 3)
+    b1 = _build_band("proposed_hard1", b, st)
+    b3 = _build_band("proposed_hard3", b, st)
     assert_array_equal(b3.half_width, 3.0 * b1.half_width)
     assert_array_equal(b3.center, b1.center)
 
@@ -137,8 +114,7 @@ def test_untruncated_band_m2_single_level():
     pc = np.array([[1.0, 0.3], [3.0, 0.3]])
     st = pooled_stats(pc, alpha=0.05)
     assert st.r_hat[1] == 0.0
-    est = hard_threshold(st, b, 1)
-    band = untruncated_band(st, est, b)
+    band = _build_band("untruncated_ls", b, st)
     assert_allclose(band.half_width, np.full(2, st.r_hat[0]), rtol=1e-15)
 
 
@@ -147,19 +123,23 @@ def test_untruncated_band_brute_force_and_dominance():
     b = fourier_basis(make_grid(16))
     pc = rng.normal(size=(6, 16))
     st = pooled_stats(pc, alpha=0.05, delta=0.0)
-    est = hard_threshold(st, b, 1)
-    band = untruncated_band(st, est, b)
+    band = _build_band("untruncated_ls", b, st)
     for j in range(16):
         direct = sum(st.r_hat[k] * abs(b.values[j, k]) for k in range(16))
         assert abs(band.half_width[j] - direct) < 1e-12
-    prop = proposed_band(est, st, b, 1)
+    prop = _build_band("proposed_hard1", b, st)
     assert np.all(prop.half_width <= band.half_width + 1e-15)
-    with pytest.raises(ValueError):
-        untruncated_band(st, soft_threshold(st, b, 1), b)
+
+
+def _ls_stats(mu_hat, n, alpha):
+    """Fourier basis and stats whose least-squares center has coefficients mu_hat."""
+    mu_hat = np.asarray(mu_hat, dtype=float)
+    return fourier_basis(make_grid(len(mu_hat))), _stats(mu_hat, np.zeros_like(mu_hat), n=n, alpha=alpha)
 
 
 def test_competitor_band_zero_variance():
-    band = competitor_band(np.ones(4), np.zeros(4), n=10, m=4, alpha=0.05)
+    b, st = _ls_stats([1.0, 0.0, 0.0, 0.0], n=10, alpha=0.05)  # phi_1 = 1
+    band = _build_band("competitor_theoretical", b, st, np.zeros(4))
     assert np.all(band.half_width == 0.0)
     assert_array_equal(band.center, np.ones(4))
 
@@ -167,26 +147,31 @@ def test_competitor_band_zero_variance():
 def test_competitor_band_known_variance_value():
     # half width at V=1/4, n=100, alpha=0.05, m=64 from the display formula;
     # target value recomputed with the verified quantile
-    band = competitor_band(np.zeros(64), np.full(64, 0.25), n=100, m=64, alpha=0.05)
+    b, st = _ls_stats(np.zeros(64), n=100, alpha=0.05)
+    band = _build_band("competitor_theoretical", b, st, np.full(64, 0.25))
     expect = np.sqrt(0.25 / 100.0) * normal_quantile(0.05 / 128.0)
     assert expect == pytest.approx(0.16797, abs=1e-3)
     assert_allclose(band.half_width, np.full(64, expect), rtol=1e-15)
 
 
 def test_competitor_band_validation():
+    b, st = _ls_stats(np.zeros(4), n=10, alpha=0.05)
     with pytest.raises(ValueError):
-        competitor_band(np.zeros(4), np.zeros(3), n=10, m=4, alpha=0.05)
+        _build_band("competitor_theoretical", b, st, np.zeros(3))
+    with pytest.raises(ValueError, match="nonnegative"):  # before sqrt could warn
+        _build_band("competitor_theoretical", b, st, np.array([0.1, -0.2, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        competitor_band(np.zeros(4), np.array([0.1, -0.2, 0.0, 0.0]), n=10, m=4, alpha=0.05)
-    with pytest.raises(ValueError):
-        competitor_band(np.zeros(4), np.zeros(4), n=10, m=4, alpha=0.05, kind="bootstrap")
+        _build_band("bootstrap", b, st, np.zeros(4))
+    with pytest.raises(ValueError, match="length 4"):
+        _build_band("competitor_theoretical", b, st)
 
 
 def test_sample_variance_brute_force():
     rng = np.random.default_rng(14)
     b = fourier_basis(make_grid(8))
     pc = rng.normal(size=(6, 8))
-    v = sample_variance_curves(pc, b)
+    band = _build_band("competitor_sample_var", b, pooled_stats(pc, alpha=0.05))
+    v = 6 * (band.half_width / normal_quantile(0.05 / 16.0)) ** 2
     recon = pc @ b.values.T
     for j in range(8):
         mean_j = recon[:, j].mean()
@@ -290,9 +275,9 @@ def test_coverage_experiment_single_replicate_echo():
     st = pooled_stats(per_curve_coeffs(panel, b), 0.05)
     f = eval_signal(cfg.signal, g)
     direct = {
-        "proposed_hard3": proposed_band(hard_threshold(st, b, 1), st, b, 3),
-        "competitor_theoretical": competitor_band(
-            least_squares(st, b).values, np.diag(covariance_matrix(cfg.process, g)), cfg.n, 32, 0.05),
+        "proposed_hard3": _build_band("proposed_hard3", b, st),
+        "competitor_theoretical": _build_band(
+            "competitor_theoretical", b, st, np.diag(covariance_matrix(cfg.process, g))),
     }
     for kind, band in direct.items():
         rep = coverage_experiment(cfg, kind, S=1)
@@ -332,7 +317,7 @@ def test_omega_event_implies_surrogate_coverage():
                               noise_sd=cfg.noise_sd, seed=int(seeds[s]))
         panel = generate_panel(rep_cfg)
         st = pooled_stats(per_curve_coeffs(panel, b), alpha, delta)
-        band = proposed_band(hard_threshold(st, b, 1), st, b, 3)
+        band = _build_band("proposed_hard3", b, st)
         omega = omega_event_check(st, levels, mu_true)
         covered = covers(band, target)
         if omega:

@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 from curveband.cli_io import main, read_panel_csv, write_panel_csv
 from curveband.grid_basis import fourier_basis, haar_basis, make_grid, synthesize
 from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel
-from curveband.estimator import hard_threshold, per_curve_coeffs, pooled_stats
+from curveband.estimator import per_curve_coeffs, pooled_stats
 from curveband.selector import CandidateSpec, select
-from curveband.bands import proposed_band
+from curveband.bands import _build_band
 
 
 def _run(*argv):
@@ -40,6 +40,24 @@ def test_simulate_byte_identical(tmp_path):
     for out in (a, b):
         assert _run("simulate", "--n", 6, "--m", 8, "--seed", 33, "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_sidecar_config_replays_as_a_panel_block(tmp_path):
+    # the sidecar echoes only the keys each kind reads, and a calibration's
+    # derived noise, amplitudes and innovation, so it is a valid panel block
+    cases = (
+        ("ar1", ("--process", "ar1", "--ar-phi", 0.3, "--sigma-star", 1.0, "--snr", 4.25)),
+        ("signal2", ("--signal", "signal2", "--noise-sd", 0.2)),
+    )
+    for name, flags in cases:
+        first, again = tmp_path / f"{name}.csv", tmp_path / f"{name}_again.csv"
+        assert _run("simulate", "--n", 6, "--m", 8, "--seed", 12, *flags, "--out", first) == 0
+        config = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())["config"]
+        scen = tmp_path / f"{name}.json"
+        scen.write_text(json.dumps({"panel": config}))
+        assert _run("simulate", "--scenario", scen, "--out", again) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert json.loads((tmp_path / f"{name}_again.csv.meta.json").read_text())["config"] == config
 
 
 def test_simulate_large_panel_shape(tmp_path):
@@ -164,7 +182,7 @@ def test_band_cli_matches_library(tmp_path):
     got_lower = np.array([float(r.split(",")[3]) for r in rows])
     b = fourier_basis(g)
     st = pooled_stats(per_curve_coeffs(panel, b), 0.05, 0.0)
-    band = proposed_band(hard_threshold(st, b, 1), st, b, 3)
+    band = _build_band("proposed_hard3", b, st)
     assert_allclose(got_center, band.center, atol=1e-12)
     assert_allclose(got_lower, band.lower, atol=1e-12)
 
@@ -392,8 +410,10 @@ def test_scenario_unknown_keys_exit1(tmp_path, capsys):
 
 
 def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
-    # int(2.9) is 2 and bool("false") is True; both ran before
+    # int(2.9) is 2, bool("false") is True, float(True) is 1.0 and
+    # float("0.05") parses; all of them ran before
     out = tmp_path / "x"
+    calibrated = {k: v for k, v in _PANEL.items() if k != "noise_sd"}
     cases = (
         ({"oracle_checks": "false"}, "oracle_checks"),
         ({"oracle_checks": 1, "replicates": 3}, "oracle_checks"),
@@ -403,6 +423,13 @@ def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
         ({"base_seed": 1.5}, "base_seed"),
         ({"panel": {**_PANEL, "n": 20.5}}, "n must be"),
         ({"oracle_checks": True, "replicates": 1}, "replicates >= 2"),
+        ({"panel": {**_PANEL, "noise_sd": True}}, "noise_sd"),
+        ({"oracle_delta": False}, "oracle_delta"),
+        ({"band_alpha": "0.05"}, "band_alpha"),
+        ({"panel": {**_PANEL, "signal": {"kind": "signal1", "c1": True}}}, "c1"),
+        ({"panel": {**_PANEL, "process": {"kind": "ar1", "ar_phi": "0.3"}}}, "ar_phi"),
+        ({"estimators": [{"basis_family": "fourier", "rule": "hard", "multiplier": True}]}, "multiplier"),
+        ({"panel": {**calibrated, "calibration": {"sigma_star": True, "snr": 4.25}}}, "sigma_star"),
     )
     for top, needle in cases:
         scen = _scenario_file(tmp_path, **top)

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose, assert_array_equal
 
-from curveband.grid_basis import analyze, fourier_basis, haar_basis, make_grid
+from curveband.grid_basis import analyze, fourier_basis, haar_basis, make_grid, synthesize
 from curveband.process_sim import (
     PanelConfig,
     ProcessSpec,
@@ -18,12 +18,9 @@ from curveband.process_sim import (
 from curveband.estimator import (
     CoefficientStats,
     fit,
-    hard_threshold,
-    least_squares,
     normal_quantile,
     per_curve_coeffs,
     pooled_stats,
-    soft_threshold,
     sparsity_report,
     theoretical_levels,
     truncated_target,
@@ -175,8 +172,8 @@ def test_hard_zero_level_equals_least_squares():
     g = make_grid(4)
     b = fourier_basis(g)
     st = _stats([1.0, -0.2, 0.0, 3.0], np.zeros(4))
-    hard = hard_threshold(st, b)
-    ls = least_squares(st, b)
+    hard = fit("hard", st, b)
+    ls = fit("least_squares", st, b)
     assert_array_equal(hard.coeffs, ls.coeffs)
     assert_array_equal(hard.values, ls.values)
     assert np.all(hard.active)
@@ -186,7 +183,7 @@ def test_hard_kills_small_coefficient():
     g = make_grid(2)
     b = fourier_basis(g)
     st = _stats([5.0, 0.1], [1.0, 1.0])
-    est = hard_threshold(st, b)
+    est = fit("hard", st, b)
     assert_array_equal(est.coeffs, [5.0, 0.0])
     assert_array_equal(est.active, [True, False])
 
@@ -195,7 +192,7 @@ def test_hard_keeps_tie():
     g = make_grid(2)
     b = fourier_basis(g)
     st = _stats([1.0, -1.0], [1.0, 1.0])
-    est = hard_threshold(st, b)
+    est = fit("hard", st, b)
     assert_array_equal(est.active, [True, True])
     assert_array_equal(est.coeffs, [1.0, -1.0])
 
@@ -204,7 +201,7 @@ def test_soft_shrinks_and_zeroes():
     g = make_grid(2)
     b = fourier_basis(g)
     st = _stats([2.0, -0.3], [0.5, 0.5])
-    est = soft_threshold(st, b)
+    est = fit("soft", st, b)
     assert_array_equal(est.coeffs, [1.5, 0.0])
 
 
@@ -213,19 +210,23 @@ def test_threshold_rejects_bad_multiplier():
     st = _stats([1.0, 1.0], [0.1, 0.1])
     for mult in [0, 3, 1.5]:
         with pytest.raises(ValueError):
-            hard_threshold(st, fourier_basis(g), mult)
+            fit("hard", st, fourier_basis(g), mult)
         with pytest.raises(ValueError):
-            soft_threshold(st, fourier_basis(g), mult)
+            fit("soft", st, fourier_basis(g), mult)
 
 
 def test_fit_dispatches_each_rule_and_rejects_unknown():
     g = make_grid(4)
     b = fourier_basis(g)
     st = _stats([1.0, -0.5, 0.05, 0.0], [0.1, 0.1, 0.1, 0.1])
+    mu, level = st.mu_hat, st.r_hat
     for mult in [1, 2]:
-        assert_array_equal(fit("hard", st, b, mult).values, hard_threshold(st, b, mult).values)
-        assert_array_equal(fit("soft", st, b, mult).values, soft_threshold(st, b, mult).values)
-        assert_array_equal(fit("least_squares", st, b, mult).values, least_squares(st, b).values)
+        keep = np.abs(mu) >= mult * level
+        hard = np.where(keep, mu, 0.0)
+        soft = np.where(keep, mu - np.sign(mu) * mult * level, 0.0)
+        assert_array_equal(fit("hard", st, b, mult).values, synthesize(hard, b))
+        assert_array_equal(fit("soft", st, b, mult).values, synthesize(soft, b))
+        assert_array_equal(fit("least_squares", st, b, mult).values, synthesize(mu, b))
     assert fit("soft", st, b).level_multiplier == 1.0
     with pytest.raises(ValueError, match="unknown rule"):
         fit("Hard", st, b)
@@ -242,8 +243,8 @@ def test_hard_soft_gap_identity_on_dyadic_lattice():
     mu = rng.integers(-8 * 2**20, 8 * 2**20, size=64) / scale
     lev = rng.integers(0, 4 * 2**20, size=64) / scale
     st = _stats(mu, lev)
-    hard = hard_threshold(st, b)
-    soft = soft_threshold(st, b)
+    hard = fit("hard", st, b)
+    soft = fit("soft", st, b)
     gap = np.where(hard.active, np.sign(mu) * lev, 0.0)
     assert_array_equal(hard.coeffs - soft.coeffs, gap)
 
@@ -253,8 +254,8 @@ def test_soft_below_hard_below_raw():
     g = make_grid(32)
     b = fourier_basis(g)
     st = _stats(rng.normal(size=32), np.abs(rng.normal(size=32)))
-    hard = hard_threshold(st, b)
-    soft = soft_threshold(st, b)
+    hard = fit("hard", st, b)
+    soft = fit("soft", st, b)
     assert np.all(np.abs(soft.coeffs) <= np.abs(hard.coeffs) + 1e-15)
     assert np.all(np.abs(hard.coeffs) <= np.abs(st.mu_hat))
 
@@ -264,8 +265,8 @@ def test_doubling_multiplier_shrinks_active_set():
     g = make_grid(32)
     b = fourier_basis(g)
     st = _stats(rng.normal(size=32), np.abs(rng.normal(scale=0.5, size=32)))
-    a1 = hard_threshold(st, b, 1).active
-    a2 = hard_threshold(st, b, 2).active
+    a1 = fit("hard", st, b, 1).active
+    a2 = fit("hard", st, b, 2).active
     assert np.all(a2 <= a1)
 
 
@@ -275,7 +276,7 @@ def test_degenerate_panel_recovers_signal():
     b = fourier_basis(g)
     panel = CurvePanel(grid=g, Y=np.tile(eval_signal(SignalSpec(), g), (4, 1)))
     st = pooled_stats(per_curve_coeffs(panel, b), alpha=0.05, delta=0.0)
-    est = hard_threshold(st, b)
+    est = fit("hard", st, b)
     assert_array_equal(est.coeffs, st.mu_hat)
     assert_allclose(est.values, eval_signal(SignalSpec(), g), atol=1e-9)
 

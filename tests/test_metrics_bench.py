@@ -21,6 +21,7 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
+    fit,
     normal_quantile,
     per_curve_coeffs,
     pooled_stats,
@@ -30,34 +31,12 @@ from curveband.selector import CandidateSpec
 from curveband.metrics_bench import (
     BenchReport,
     ScenarioConfig,
-    mse_summary,
     omega_event_check,
     oracle_check_thm1,
     oracle_check_thm2,
     oracle_check_thm3,
     run_scenario,
 )
-
-
-def test_mse_summary_degenerate():
-    truth = np.array([1.0, -2.0, 3.0])
-    emse, medmse = mse_summary(np.tile(truth, (4, 1)), truth)
-    assert emse == 0.0 and medmse == 0.0
-    emse, medmse = mse_summary(truth - 0.5, truth)
-    assert emse == pytest.approx(0.5, abs=1e-15)
-    assert medmse == pytest.approx(0.5, abs=1e-15)
-
-
-def test_mse_summary_brute_force():
-    rng = np.random.default_rng(3)
-    truth = rng.normal(size=6)
-    fits = rng.normal(size=(5, 6))
-    emse, medmse = mse_summary(fits, truth)
-    mses = [np.mean([(fits[s, j] - truth[j]) ** 2 for j in range(6)]) for s in range(5)]
-    assert emse == pytest.approx(np.sqrt(np.mean(mses)), abs=1e-12)
-    assert medmse == pytest.approx(np.sqrt(np.median(mses)), abs=1e-12)
-    with pytest.raises(ValueError):
-        mse_summary(np.zeros((2, 5)), truth)
 
 
 def _exact_sd_stats(mu_hat, sigma_k, sigma_eps, n, m, alpha, delta, offset=0.0):
@@ -244,10 +223,8 @@ def test_run_scenario_single_replicate_echo():
                                        process=cfg.panel.process, noise_sd=cfg.panel.noise_sd,
                                        seed=seed))
     st = pooled_stats(per_curve_coeffs(panel, b), 0.05)
-    from curveband.estimator import hard_threshold
-
     f = eval_signal(cfg.panel.signal, g)
-    direct = np.sqrt(np.mean((hard_threshold(st, b, 1).values - f) ** 2))
+    direct = np.sqrt(np.mean((fit("hard", st, b, 1).values - f) ** 2))
     assert rep.sqrt_emse[0] == pytest.approx(direct, abs=1e-14)
     assert rep.provenance["replicate_seeds_head"][0] == seed
 
@@ -268,15 +245,13 @@ def test_run_scenario_medmse_bracketed_by_replicates():
     g = cfg.panel.grid
     b = fourier_basis(g)
     f = eval_signal(cfg.panel.signal, g)
-    from curveband.estimator import hard_threshold
-
     roots = []
     for s in range(7):
         panel = generate_panel(PanelConfig(n=cfg.panel.n, grid=g, signal=cfg.panel.signal,
                                            process=cfg.panel.process,
                                            noise_sd=cfg.panel.noise_sd, seed=int(seeds[s])))
         st = pooled_stats(per_curve_coeffs(panel, b), 0.05)
-        roots.append(np.sqrt(np.mean((hard_threshold(st, b, 1).values - f) ** 2)))
+        roots.append(np.sqrt(np.mean((fit("hard", st, b, 1).values - f) ** 2)))
     assert min(roots) <= rep.sqrt_medmse[0] <= max(roots)
     assert rep.sqrt_emse[0] == pytest.approx(np.sqrt(np.mean(np.square(roots))), abs=1e-12)
 

@@ -13,7 +13,7 @@ from curveband.process_sim import (
     calibrate,
     generate_panel,
 )
-from curveband.estimator import hard_threshold, per_curve_coeffs, pooled_stats
+from curveband.estimator import fit, per_curve_coeffs, pooled_stats
 from curveband.selector import CandidateSpec, empirical_risk, select, split_panel
 
 
@@ -146,7 +146,7 @@ def test_risk_shift_invariance():
     b = fourier_basis(p.grid)
     sub = CurvePanel(grid=p.grid, Y=p.Y[i1])
     st = pooled_stats(per_curve_coeffs(sub, b), alpha=0.05)
-    fits = [hard_threshold(st, b, 1).values, hard_threshold(st, b, 2).values, st.mu_hat @ b.values.T]
+    fits = [fit("hard", st, b, 1).values, fit("hard", st, b, 2).values, st.mu_hat @ b.values.T]
     base = np.array([empirical_risk(p, i2, g) for g in fits])
     shift = np.array([empirical_risk(shifted_panel, i2, g + 5.0) for g in fits])
     assert np.allclose(shift, base, rtol=1e-9)
@@ -163,7 +163,7 @@ def test_select_refit_reproduces_fit_bitwise():
     b = fourier_basis(p.grid)
     sub = CurvePanel(grid=p.grid, Y=p.Y[res1.i1_indices])
     st = pooled_stats(per_curve_coeffs(sub, b), alpha=cand.alpha)
-    assert_array_equal(hard_threshold(st, b, 1).values, res1.fitted_values)
+    assert_array_equal(fit("hard", st, b, 1).values, res1.fitted_values)
 
 
 def test_select_skips_haar_on_bad_m():
