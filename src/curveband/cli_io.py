@@ -1,11 +1,11 @@
 """Command-line surface and file formats.
 
-Panels travel as wide CSV: the first row holds the grid points, each
-following row one curve, every value rendered with 17 significant
-digits so files round-trip losslessly.  Every command writes a JSON
-sidecar (<out>.meta.json) echoing the exact configuration and seeds
-needed to regenerate its output.  Exit codes: 0 success, 1 invalid
-input, configuration or command line, 2 I/O failure.
+Panels travel as wide CSV: the first row holds the midpoint design
+t_j = (j - 1/2)/m, each following row one curve, every value rendered
+with 17 significant digits so files round-trip losslessly.  Every
+command writes a JSON sidecar (<out>.meta.json) echoing the exact
+configuration and seeds needed to regenerate its output.  Exit codes:
+0 success, 1 invalid input, configuration or command line, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band
 from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
-from .grid_basis import BASIS_FAMILIES, Grid, basis_for, make_grid
+from .grid_basis import BASIS_FAMILIES, basis_for, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
 from .process_sim import (
     PROCESS_KINDS,
@@ -38,6 +38,10 @@ from .selector import CandidateSpec, select
 __all__ = ["main", "build_parser", "read_panel_csv", "write_panel_csv", "scenario_from_dict"]
 
 FMT = "%.17g"
+
+# a panel CSV's grid row may miss the midpoint design by 0.1% of the spacing
+# 1/m: 6 printed decimals pass up to m = 2000, j/(m+1) and linspace rows fail
+GRID_ROW_TOLERANCE = 1e-3
 
 # Keys a scenario JSON may hold, by block and, for signal and process
 # blocks, by kind; estimator blocks are checked by the dataclass they build.
@@ -121,23 +125,15 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
 
 
 def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
-    panel = panel_config_from_dict(d["panel"])
-    estimators = tuple(candidate_from_dict(e) for e in d["estimators"])
-    base = d.get("base_seed", 0)
+    """The keys the scenario gives; ScenarioConfig's defaults fill the rest."""
+    kw = dict(d)
     if seed_override is not None:
-        base = seed_override
-    return ScenarioConfig(
-        panel=panel,
-        estimators=estimators,
-        bands=tuple(d.get("bands", ())),
-        replicates=_integer(d.get("replicates", 100), "replicates"),
-        base_seed=_integer(base, "base_seed"),
-        band_basis_family=d.get("band_basis_family", "fourier"),
-        band_alpha=_real(d.get("band_alpha", 0.05), "band_alpha"),
-        oracle_checks=d.get("oracle_checks", False),
-        oracle_alpha=_real(d.get("oracle_alpha", 0.05), "oracle_alpha"),
-        oracle_delta=_real(d.get("oracle_delta", 0.01), "oracle_delta"),
-    )
+        kw["base_seed"] = seed_override
+    kw["panel"] = panel_config_from_dict(d["panel"])
+    kw["estimators"] = tuple(candidate_from_dict(e) for e in d["estimators"])
+    kw.update({key: _integer(kw[key], key) for key in ("replicates", "base_seed") if key in kw})
+    kw.update({key: _real(kw[key], key) for key in ("band_alpha", "oracle_alpha", "oracle_delta") if key in kw})
+    return ScenarioConfig(**kw)
 
 
 def _check_keys(block, known, where: str):
@@ -181,10 +177,18 @@ def write_panel_csv(panel: CurvePanel, path: str):
 
 
 def read_panel_csv(path: str) -> CurvePanel:
+    """Panel whose grid row is the midpoint design of its width, to within
+    GRID_ROW_TOLERANCE / m; every basis is orthonormal only on that design."""
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if rows.shape[0] < 3:
         raise ValueError("panel CSV needs a grid row plus at least two curves")
-    grid = Grid(m=rows.shape[1], points=rows[0])
+    grid = make_grid(rows.shape[1])
+    tol = GRID_ROW_TOLERANCE / grid.m
+    off = np.flatnonzero(~(np.abs(rows[0] - grid.points) <= tol))
+    if off.size:
+        j = off[0]
+        raise ValueError(f"panel CSV grid row is not the midpoint design (j - 1/2)/{grid.m}: "
+                         f"entry {j + 1} is {rows[0, j]!r}, not {grid.points[j]!r} within {tol:.3g}")
     return CurvePanel(grid=grid, Y=rows[1:])
 
 
@@ -319,7 +323,7 @@ def cmd_band(args) -> int:
         if not args.scenario:
             raise ValueError("competitor_theoretical needs --scenario for the process covariance")
         cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"])
-        if cfg.grid.m != panel.grid.m:
+        if cfg.grid != panel.grid:
             raise ValueError("scenario grid size does not match the stored panel")
         process_var = process_variance(cfg.process, panel.grid)
     band = _build_band(args.kind, basis, stats, process_var)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, synthesize
+from .grid_basis import BasisMatrix, analyze, synthesize
 from .process_sim import CurvePanel, SignalSpec, eval_signal
 
 __all__ = [
@@ -89,7 +89,7 @@ def normal_quantile(p: float) -> float:
 
 def per_curve_coeffs(panel: CurvePanel, basis: BasisMatrix) -> np.ndarray:
     """Row i holds the basis coefficients of curve i."""
-    if panel.grid.m != basis.m or not np.array_equal(panel.grid.points, basis.grid.points):
+    if panel.grid != basis.grid:
         raise ValueError("panel grid does not match basis grid")
     return panel.Y @ basis.values / basis.m
 
@@ -192,8 +192,6 @@ class SparsityReport:
 def sparsity_report(signal: SignalSpec, basis: BasisMatrix, levels: TheoreticalLevels) -> SparsityReport:
     """How many true coefficients survive the theoretical levels, and the
     grid-norm distances between the truncated rebuild and the signal."""
-    from .grid_basis import analyze
-
     f = eval_signal(signal, basis.grid)
     mu = analyze(f, basis)
     keep = np.abs(mu) >= levels.r_k

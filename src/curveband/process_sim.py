@@ -163,7 +163,8 @@ def _cholesky_t(process: ProcessSpec, grid: Grid) -> np.ndarray:
 
     Every replicate loop draws all of its panels from one (process, grid)
     pair, so one cached factor serves them all; at m=1024 building and
-    factorising the covariance costs about five n=200 panels.
+    factorising the covariance costs about five n=200 panels.  Grids
+    compare by m, so two grid objects of the same m share the factor.
     """
     upper = np.linalg.cholesky(covariance_matrix(process, grid)).T
     upper.setflags(write=False)

@@ -1,17 +1,19 @@
 """End-to-end command-line checks, run in process against tmp files."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curveband.cli_io import main, read_panel_csv, write_panel_csv
+from curveband.cli_io import main, read_panel_csv, scenario_from_dict, write_panel_csv
 from curveband.grid_basis import fourier_basis, haar_basis, make_grid, synthesize
 from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel
 from curveband.estimator import per_curve_coeffs, pooled_stats
 from curveband.selector import CandidateSpec, select
 from curveband.bands import _build_band
+from curveband.metrics_bench import ScenarioConfig
 
 
 def _run(*argv):
@@ -79,6 +81,27 @@ def test_panel_csv_roundtrip_lossless(tmp_path):
     back = read_panel_csv(str(path))
     assert np.array_equal(back.Y, panel.Y)
     assert np.array_equal(back.grid.points, panel.grid.points)
+    again = tmp_path / "again.csv"
+    write_panel_csv(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    # a grid row printed to 6 decimals is within the tolerance up to m = 2000
+    printed = tmp_path / "printed.csv"
+    np.savetxt(printed, np.vstack([make_grid(1999).points, np.zeros((2, 1999))]), fmt="%.6f", delimiter=",")
+    assert read_panel_csv(str(printed)).grid == make_grid(1999)
+
+
+@pytest.mark.parametrize("design", [np.linspace(0.01, 0.99, 16), np.arange(1, 17) / 17.0])
+def test_panel_off_the_midpoint_design_exit1(tmp_path, capsys, design):
+    # every basis is orthonormal only on (j - 1/2)/m; these rows were read
+    # as given, so estimate, band and select exited 0 on them
+    ppath = tmp_path / "p.csv"
+    np.savetxt(ppath, np.vstack([design, np.random.default_rng(0).normal(size=(4, 16))]),
+               fmt="%.17g", delimiter=",")
+    with pytest.raises(ValueError, match="midpoint design .* entry 1 is"):
+        read_panel_csv(str(ppath))
+    for command in ("estimate", "band", "select"):
+        assert _run(command, "--panel", ppath, "--out", tmp_path / "x") == 1
+        assert "not the midpoint design" in capsys.readouterr().err
 
 
 def test_estimate_constant_panel_single_active(tmp_path):
@@ -435,6 +458,13 @@ def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
         scen = _scenario_file(tmp_path, **top)
         assert _run("bench", "--scenario", scen, "--out", out) == 1, top
         assert needle in capsys.readouterr().err
+    # a scenario of panel and estimators alone takes every ScenarioConfig default
+    bare = json.loads(_scenario_file(tmp_path).read_text())
+    del bare["replicates"]
+    cfg = scenario_from_dict(bare)
+    for f in fields(ScenarioConfig):
+        if f.name not in ("panel", "estimators"):
+            assert getattr(cfg, f.name) == f.default, f.name
     # a whole float is still a count, and real booleans pass
     scen = _scenario_file(tmp_path, replicates=2.0, base_seed=4, oracle_checks=False)
     assert _run("bench", "--scenario", scen, "--out", out) == 0

@@ -23,6 +23,11 @@ def test_make_grid_m2():
 def test_make_grid_m4():
     g = make_grid(4)
     assert_array_equal(g.points, [0.125, 0.375, 0.625, 0.875])
+    # m fixes the design: grids compare and hash by m, and take no points
+    assert Grid(8) == make_grid(8) and hash(Grid(8)) == hash(make_grid(8))
+    assert Grid(8) != Grid(16)
+    with pytest.raises(TypeError):
+        Grid(4, g.points)
 
 
 def test_make_grid_m256_first_point():
@@ -34,15 +39,8 @@ def test_make_grid_m256_first_point():
 def test_make_grid_rejects_small_m():
     with pytest.raises(ValueError):
         make_grid(1)
-
-
-def test_grid_rejects_bad_points():
     with pytest.raises(ValueError):
-        Grid(m=3, points=np.array([0.1, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        Grid(m=2, points=np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        Grid(m=2, points=np.array([0.5]))
+        make_grid(4.5)
 
 
 def test_fourier_first_column_constant():

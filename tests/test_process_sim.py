@@ -169,8 +169,10 @@ def test_panel_identical_on_factor_cache_hit_and_miss():
     after = process_sim._cholesky_t.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert np.array_equal(miss, hit)
-    # an equal grid is another key, and the layout is f + N L^T + eps from one stream
+    # another grid object of the same m is the same key, and the layout is
+    # f + N L^T + eps from one stream
     other_grid = generate_panel(replace(cfg, grid=make_grid(32))).Y
+    assert process_sim._cholesky_t.cache_info().hits - after.hits == 1
     rng = np.random.default_rng(8)
     L = np.linalg.cholesky(covariance_matrix(cfg.process, g))
     expected = eval_signal(cfg.signal, g) + rng.standard_normal((6, 32)) @ L.T + rng.normal(0.0, 0.2, (6, 32))
