@@ -172,7 +172,7 @@ def coverage_experiment(
         target = f
     else:
         sigma_k = np.sqrt(sigma_k_theoretical(scenario.process, basis))
-        levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, basis.m, alpha, delta)
+        levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha, delta)
         mu = analyze(f, basis)
         _, target = truncated_target(mu, 2.0 * levels.r_bar, basis)
     process_var = None

@@ -189,7 +189,7 @@ def read_panel_csv(path: str) -> CurvePanel:
         j = off[0]
         raise ValueError(f"panel CSV grid row is not the midpoint design (j - 1/2)/{grid.m}: "
                          f"entry {j + 1} is {rows[0, j]!r}, not {grid.points[j]!r} within {tol:.3g}")
-    return CurvePanel(grid=grid, Y=rows[1:])
+    return CurvePanel(rows[1:])
 
 
 def _write_table_csv(path: str, header, columns):
@@ -346,7 +346,7 @@ def cmd_sparsity(args) -> int:
     signal = SignalSpec(kind=args.signal)
     process = ProcessSpec(kind=args.process)
     sigma_k = np.sqrt(sigma_k_theoretical(process, basis))
-    levels = theoretical_levels(sigma_k, args.noise_sd, args.n, args.m, args.alpha, args.delta)
+    levels = theoretical_levels(sigma_k, args.noise_sd, args.n, args.alpha, args.delta)
     report = sparsity_report(signal, basis, levels)
     payload = {
         "count": report.count,

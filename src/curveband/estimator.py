@@ -43,11 +43,14 @@ class CoefficientStats:
     mu_hat: np.ndarray
     per_curve: np.ndarray
     s_k: np.ndarray
-    n: int
     alpha: float
     delta: float
     r_hat: np.ndarray
     r_tilde: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.per_curve.shape[0]
 
     @property
     def m(self) -> int:
@@ -111,7 +114,7 @@ def pooled_stats(per_curve: np.ndarray, alpha: float, delta: float = 0.0) -> Coe
     r_hat = (s_k + delta) * z / np.sqrt(n)
     r_tilde = (s_k + 3.0 * delta) * z / np.sqrt(n)
     return CoefficientStats(
-        mu_hat=mu_hat, per_curve=pc, s_k=s_k, n=n, alpha=alpha, delta=delta,
+        mu_hat=mu_hat, per_curve=pc, s_k=s_k, alpha=alpha, delta=delta,
         r_hat=r_hat, r_tilde=r_tilde,
     )
 
@@ -120,13 +123,14 @@ def theoretical_levels(
     sigma_k: np.ndarray,
     sigma_eps: float,
     n: int,
-    m: int,
     alpha: float,
     delta: float = 0.0,
 ) -> TheoreticalLevels:
+    """Levels for the m = len(sigma_k) coefficients of n curves."""
     sk = np.asarray(sigma_k, dtype=float)
-    if sk.shape != (m,):
-        raise ValueError(f"sigma_k must have length {m}")
+    if sk.ndim != 1 or sk.size == 0:
+        raise ValueError(f"sigma_k must be a non-empty vector, got shape {sk.shape}")
+    m = sk.size
     given = np.append(sk, (sigma_eps, delta))
     if not np.all(np.isfinite(given) & (given >= 0.0)):
         raise ValueError("sigma_k, sigma_eps and delta must be finite and nonnegative")

@@ -49,23 +49,21 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class BasisMatrix:
-    """m basis functions evaluated on the grid, one per column."""
+    """m basis functions evaluated on the m-point grid, one per column; the
+    grid and the sup norms max_j |phi_k(t_j)| are derived from the matrix."""
 
     family: str
-    grid: Grid
     values: np.ndarray
-    sup_norms: np.ndarray
+    grid: Grid = field(init=False)
+    sup_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.grid.m
         vals = _frozen_array(self.values)
-        sups = _frozen_array(self.sup_norms)
-        if vals.shape != (m, m):
-            raise ValueError(f"basis matrix must be {m}x{m}, got {vals.shape}")
-        if sups.shape != (m,):
-            raise ValueError("sup_norms length must equal m")
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise ValueError(f"basis matrix must be square, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sup_norms", sups)
+        object.__setattr__(self, "grid", Grid(vals.shape[0]))
+        object.__setattr__(self, "sup_norms", _frozen_array(np.max(np.abs(vals), axis=0)))
 
     @property
     def m(self) -> int:
@@ -92,9 +90,7 @@ def fourier_basis(grid: Grid) -> BasisMatrix:
         cols.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t))
     if m % 2 == 0:
         cols.append((-1.0) ** np.arange(m))
-    values = np.column_stack(cols)
-    sup_norms = np.max(np.abs(values), axis=0)
-    return BasisMatrix(family="fourier", grid=grid, values=values, sup_norms=sup_norms)
+    return BasisMatrix(family="fourier", values=np.column_stack(cols))
 
 
 def haar_basis(grid: Grid) -> BasisMatrix:
@@ -116,9 +112,7 @@ def haar_basis(grid: Grid) -> BasisMatrix:
             pos = ((t >= lo) & (t < mid)).astype(float)
             neg = ((t >= mid) & (t < hi)).astype(float)
             cols.append(amp * (pos - neg))
-    values = np.column_stack(cols)
-    sup_norms = np.max(np.abs(values), axis=0)
-    return BasisMatrix(family="haar", grid=grid, values=values, sup_norms=sup_norms)
+    return BasisMatrix(family="haar", values=np.column_stack(cols))
 
 
 def basis_for(family: str, grid: Grid) -> BasisMatrix:

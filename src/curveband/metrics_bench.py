@@ -61,8 +61,9 @@ class ScenarioConfig:
     oracle_delta: float = 0.01
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        r = self.replicates
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+            raise ValueError(f"replicates must be a whole number >= 1, got {r!r}")
         if not isinstance(self.oracle_checks, bool):  # bool("false") would be True
             raise ValueError(f"oracle_checks must be True or False, got {self.oracle_checks!r}")
         if self.oracle_checks and self.replicates < 2:
@@ -179,14 +180,16 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     f = eval_signal(scenario.signal, scenario.grid)
     mu = analyze(f, basis)
     sigma_k = np.sqrt(sigma_k_theoretical(scenario.process, basis))
-    levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, basis.m, alpha)
+    levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha)
     _, target = truncated_target(mu, levels.r_k, basis)
     errs = np.empty(S)
     for s, cfg in enumerate(replicate_configs(scenario, scenario.seed, S)):
-        panel = generate_panel(cfg)
-        mu_hat = per_curve_coeffs(panel, basis).mean(axis=0)
-        _, values = truncated_target(mu_hat, 2.0 * levels.r_k, basis)
-        errs[s] = np.mean((values - target) ** 2)
+        try:
+            mu_hat = per_curve_coeffs(generate_panel(cfg), basis).mean(axis=0)
+            _, values = truncated_target(mu_hat, 2.0 * levels.r_k, basis)
+            errs[s] = np.mean((values - target) ** 2)
+        except Exception as exc:
+            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
     lhs = float(np.mean(errs))
     se = float(np.std(errs, ddof=1) / np.sqrt(S))
     n, m = scenario.n, basis.m
@@ -221,8 +224,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         mu_true = analyze(f, band_basis)
         sigma_k = np.sqrt(sigma_k_theoretical(template.process, band_basis))
         oracle_levels = theoretical_levels(
-            sigma_k, template.noise_sd, template.n, band_basis.m,
-            config.oracle_alpha, config.oracle_delta,
+            sigma_k, template.noise_sd, template.n, config.oracle_alpha, config.oracle_delta,
         )
     process_var = None
     if "competitor_theoretical" in config.bands:

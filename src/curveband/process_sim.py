@@ -12,7 +12,7 @@ theoretical coefficient variances come from its Cholesky factor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,33 +91,31 @@ class PanelConfig:
     seed: int
 
     def __post_init__(self):
-        # n >= 2 so the coefficient sample SD downstream is defined
-        if self.n < 2:
-            raise ValueError(f"panel needs n >= 2 curves, got {self.n}")
+        # n >= 2 so the coefficient sample SD downstream is defined; a float
+        # or bool n would only fail later, inside numpy
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"panel needs a whole number n >= 2 of curves, got {self.n!r}")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
 @dataclass(frozen=True, eq=False)
 class CurvePanel:
-    grid: Grid
+    """n curves observed on the m-point grid, one per row of Y; the grid is
+    derived from the width of Y."""
+
     Y: np.ndarray
-    true_mean: np.ndarray | None = None
+    grid: Grid = field(init=False)
 
     def __post_init__(self):
         Y = np.array(self.Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.grid.m:
-            raise ValueError(f"panel must be n x {self.grid.m}, got shape {Y.shape}")
+        if Y.ndim != 2:
+            raise ValueError(f"panel must be an n x m matrix, got shape {Y.shape}")
         if not np.all(np.isfinite(Y)):
             raise ValueError("panel entries must be finite")
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
-        if self.true_mean is not None:
-            tm = np.array(self.true_mean, dtype=float)
-            if tm.shape != (self.grid.m,):
-                raise ValueError("true_mean length must equal m")
-            tm.setflags(write=False)
-            object.__setattr__(self, "true_mean", tm)
+        object.__setattr__(self, "grid", Grid(Y.shape[1]))
 
     @property
     def n(self) -> int:
@@ -249,7 +247,7 @@ def generate_panel(config: PanelConfig) -> CurvePanel:
     Y = f + rng.standard_normal(shape) @ _cholesky_t(config.process, grid)
     if config.noise_sd > 0.0:
         Y += rng.normal(0.0, config.noise_sd, shape)
-    return CurvePanel(grid=grid, Y=Y, true_mean=f)
+    return CurvePanel(Y)
 
 
 def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:

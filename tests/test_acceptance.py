@@ -94,7 +94,7 @@ def test_criterion_02_sparsity_counts():
     for fam, builder in [("fourier", fourier_basis), ("haar", haar_basis)]:
         basis = builder(g)
         sigma_k = np.sqrt(sigma_k_theoretical(ProcessSpec(kind="bb"), basis))
-        levels = theoretical_levels(sigma_k, 0.136, n=400, m=256, alpha=0.05)
+        levels = theoretical_levels(sigma_k, 0.136, n=400, alpha=0.05)
         counts[fam] = sparsity_report(SignalSpec(), basis, levels).count
     ok = abs(counts["fourier"] - 11) <= 2 and abs(counts["haar"] - 92) <= 5
     assert _report("criterion-02-sparsity-counts", ok,
@@ -289,7 +289,7 @@ def test_criterion_11_soft_hard_gap_identity():
         mu = rng.integers(-8 * 2**20, 8 * 2**20, size=64) / scale
         lev = rng.integers(0, 4 * 2**20, size=64) / scale
         st = CoefficientStats(mu_hat=mu, per_curve=np.tile(mu, (4, 1)),
-                              s_k=np.zeros(64), n=4, alpha=0.05, delta=0.0,
+                              s_k=np.zeros(64), alpha=0.05, delta=0.0,
                               r_hat=lev, r_tilde=lev)
         hard = fit("hard", st, b, 1).coeffs
         soft = fit("soft", st, b, 1).coeffs

@@ -42,7 +42,7 @@ def _stats(mu_hat, r_hat, r_tilde=None, n=4, alpha=0.05, delta=0.0):
         r_tilde = r_hat
     return CoefficientStats(
         mu_hat=mu_hat, per_curve=np.tile(mu_hat, (n, 1)),
-        s_k=np.zeros_like(mu_hat), n=n, alpha=alpha, delta=delta,
+        s_k=np.zeros_like(mu_hat), alpha=alpha, delta=delta,
         r_hat=r_hat, r_tilde=np.asarray(r_tilde, dtype=float),
     )
 
@@ -227,7 +227,7 @@ def test_coverage_experiment_degenerate_full_coverage():
     b = fourier_basis(g)
     for signal, delta in ((SignalSpec(kind="signal1", c1=0.0, c2=0.0), 0.0), (SignalSpec(), 1e-9)):
         f = eval_signal(signal, g)
-        panel = CurvePanel(grid=g, Y=np.tile(f, (4, 1)))
+        panel = CurvePanel(Y=np.tile(f, (4, 1)))
         stats = pooled_stats(per_curve_coeffs(panel, b), 0.05, delta)
         for kind in ["proposed_hard1", "proposed_hard3", "proposed_soft2"]:
             assert covers(_build_band(kind, b, stats, None), f) is True
@@ -306,7 +306,7 @@ def test_omega_event_implies_surrogate_coverage():
     cfg = PanelConfig(n=50, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
                       noise_sd=0.3, seed=29)
     sigma_k = np.sqrt(sigma_k_theoretical(cfg.process, b))
-    levels = theoretical_levels(sigma_k, cfg.noise_sd, cfg.n, 32, alpha, delta)
+    levels = theoretical_levels(sigma_k, cfg.noise_sd, cfg.n, alpha, delta)
     mu_true = analyze(eval_signal(cfg.signal, g), b)
     _, target = truncated_target(mu_true, 2.0 * levels.r_bar, b)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(40, dtype=np.uint64)

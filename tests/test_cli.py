@@ -1,7 +1,11 @@
 """End-to-end command-line checks, run in process against tmp files."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,8 +111,7 @@ def test_panel_off_the_midpoint_design_exit1(tmp_path, capsys, design):
 def test_estimate_constant_panel_single_active(tmp_path):
     # identical constant curves: everything lives in the first coefficient;
     # a tiny delta keeps matmul dust (~1e-16) below the threshold
-    g = make_grid(16)
-    panel = CurvePanel(grid=g, Y=np.full((4, 16), 2.5))
+    panel = CurvePanel(Y=np.full((4, 16), 2.5))
     ppath = tmp_path / "const.csv"
     write_panel_csv(panel, str(ppath))
     out = tmp_path / "est"
@@ -131,7 +134,7 @@ def test_estimate_sparse_roundtrip(tmp_path):
     mu = np.zeros(32)
     mu[[0, 2, 5]] = [1.5, -0.75, 0.25]
     row = synthesize(mu, b)
-    panel = CurvePanel(grid=g, Y=np.tile(row, (3, 1)))
+    panel = CurvePanel(Y=np.tile(row, (3, 1)))
     ppath = tmp_path / "sparse.csv"
     write_panel_csv(panel, str(ppath))
     out = tmp_path / "est"
@@ -156,8 +159,7 @@ def test_estimate_files_pipeline_sparsity(tmp_path):
 
 
 def test_estimate_haar_bad_m_exit1(tmp_path, capsys):
-    g = make_grid(12)
-    panel = CurvePanel(grid=g, Y=np.zeros((3, 12)))
+    panel = CurvePanel(Y=np.zeros((3, 12)))
     ppath = tmp_path / "p12.csv"
     write_panel_csv(panel, str(ppath))
     code = _run("estimate", "--panel", ppath, "--basis", "haar", "--out", tmp_path / "x")
@@ -211,8 +213,7 @@ def test_band_cli_matches_library(tmp_path):
 
 
 def test_band_competitor_needs_scenario(tmp_path, capsys):
-    g = make_grid(8)
-    panel = CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 8)))
+    panel = CurvePanel(Y=np.random.default_rng(0).normal(size=(4, 8)))
     ppath = tmp_path / "p.csv"
     write_panel_csv(panel, str(ppath))
     code = _run("band", "--panel", ppath, "--kind", "competitor_theoretical",
@@ -294,9 +295,8 @@ def test_bench_requires_scenario(tmp_path, capsys):
 
 
 def test_usage_errors_exit1_and_help_exit0(tmp_path, capsys):
-    g = make_grid(8)
     ppath = tmp_path / "p.csv"
-    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 8))), str(ppath))
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(4, 8))), str(ppath))
     out = tmp_path / "x"
     # flags a subcommand would ignore are usage errors, not silently accepted
     assert _run("estimate", "--seed", 5, "--panel", ppath, "--out", out) == 1
@@ -310,6 +310,23 @@ def test_usage_errors_exit1_and_help_exit0(tmp_path, capsys):
     assert _run("--help") == 0
     assert _run("estimate", "--help") == 0
     assert "--panel" in capsys.readouterr().out
+
+
+def test_python_m_curveband_exit_codes():
+    # the module entry point passes main's exit code to the shell
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "curveband", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: curveband")
+    missing = run("estimate")
+    assert missing.returncode == 1
+    assert "usage" in missing.stderr
 
 
 def test_invalid_panel_content_exit1(tmp_path, capsys):
@@ -398,9 +415,8 @@ def test_select_rejects_alpha_with_scenario(tmp_path, capsys):
 
 
 def test_band_rejects_scenario_for_other_kinds(tmp_path, capsys):
-    g = make_grid(16)
     ppath = tmp_path / "p.csv"
-    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
     scen = _scenario_file(tmp_path)
     for kind in ("proposed_hard1", "proposed_hard3", "proposed_soft2", "untruncated_ls",
                  "competitor_sample_var"):
@@ -410,9 +426,8 @@ def test_band_rejects_scenario_for_other_kinds(tmp_path, capsys):
 
 
 def test_scenario_unknown_keys_exit1(tmp_path, capsys):
-    g = make_grid(16)
     ppath = tmp_path / "p.csv"
-    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
     out = tmp_path / "x"
     calibrated = {k: v for k, v in _PANEL.items() if k != "noise_sd"}
     calibration = {"sigma_star": 1.0, "snr": 4.25}
@@ -481,9 +496,8 @@ def test_sparsity_rejects_fewer_than_one_curve(tmp_path, capsys):
 
 
 def test_band_rejects_delta_for_competitor_kinds(tmp_path, capsys):
-    g = make_grid(16)
     ppath = tmp_path / "p.csv"
-    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(6, 16))), str(ppath))
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(6, 16))), str(ppath))
     scen = _scenario_file(tmp_path)
     out = tmp_path / "b.csv"
     for kind, extra in (("competitor_theoretical", ("--scenario", scen)), ("competitor_sample_var", ())):
@@ -496,9 +510,8 @@ def test_band_rejects_delta_for_competitor_kinds(tmp_path, capsys):
 
 
 def test_estimate_rejects_multiplier_with_least_squares(tmp_path, capsys):
-    g = make_grid(16)
     ppath = tmp_path / "p.csv"
-    write_panel_csv(CurvePanel(grid=g, Y=np.random.default_rng(0).normal(size=(6, 16))), str(ppath))
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(6, 16))), str(ppath))
     out = tmp_path / "est"
     assert _run("estimate", "--panel", ppath, "--rule", "least_squares", "--multiplier", 2, "--out", out) == 1
     assert "--multiplier" in capsys.readouterr().err

@@ -35,7 +35,7 @@ def _stats(mu_hat, r_hat, n=4, alpha=0.05, delta=0.0, r_tilde=None):
         r_tilde = r_hat
     return CoefficientStats(
         mu_hat=mu_hat, per_curve=np.tile(mu_hat, (n, 1)),
-        s_k=np.zeros_like(mu_hat), n=n, alpha=alpha, delta=delta,
+        s_k=np.zeros_like(mu_hat), alpha=alpha, delta=delta,
         r_hat=r_hat, r_tilde=np.asarray(r_tilde, dtype=float),
     )
 
@@ -44,7 +44,7 @@ def test_per_curve_identical_rows():
     g = make_grid(8)
     b = fourier_basis(g)
     row = np.arange(8.0)
-    panel = CurvePanel(grid=g, Y=np.tile(row, (3, 1)))
+    panel = CurvePanel(Y=np.tile(row, (3, 1)))
     pc = per_curve_coeffs(panel, b)
     expect = analyze(row, b)
     for i in range(3):
@@ -53,7 +53,7 @@ def test_per_curve_identical_rows():
 
 def test_per_curve_zero_panel():
     g = make_grid(4)
-    panel = CurvePanel(grid=g, Y=np.zeros((2, 4)))
+    panel = CurvePanel(Y=np.zeros((2, 4)))
     assert np.all(per_curve_coeffs(panel, fourier_basis(g)) == 0.0)
 
 
@@ -61,7 +61,7 @@ def test_per_curve_brute_force():
     g = make_grid(8)
     b = haar_basis(g)
     rng = np.random.default_rng(0)
-    panel = CurvePanel(grid=g, Y=rng.normal(size=(5, 8)))
+    panel = CurvePanel(Y=rng.normal(size=(5, 8)))
     pc = per_curve_coeffs(panel, b)
     for i in range(5):
         for k in range(8):
@@ -70,7 +70,7 @@ def test_per_curve_brute_force():
 
 
 def test_per_curve_grid_mismatch():
-    panel = CurvePanel(grid=make_grid(4), Y=np.zeros((2, 4)))
+    panel = CurvePanel(Y=np.zeros((2, 4)))
     with pytest.raises(ValueError):
         per_curve_coeffs(panel, fourier_basis(make_grid(8)))
 
@@ -127,13 +127,13 @@ def test_normal_quantile_domain():
 
 
 def test_theoretical_levels_zero_inputs():
-    lev = theoretical_levels(np.zeros(4), 0.0, n=100, m=4, alpha=0.05)
+    lev = theoretical_levels(np.zeros(4), 0.0, n=100, alpha=0.05)
     assert np.all(lev.r_k == 0.0)
     assert np.all(lev.r_bar == 0.0)
 
 
 def test_theoretical_levels_rejects_nan_and_inf():
-    good = dict(sigma_k=np.full(4, 0.1), sigma_eps=0.2, n=10, m=4, alpha=0.05, delta=0.01)
+    good = dict(sigma_k=np.full(4, 0.1), sigma_eps=0.2, n=10, alpha=0.05, delta=0.01)
     theoretical_levels(**good)
     for bad in [np.nan, np.inf, -0.1]:
         for name in ["sigma_eps", "delta"]:
@@ -141,27 +141,31 @@ def test_theoretical_levels_rejects_nan_and_inf():
                 theoretical_levels(**{**good, name: bad})
         with pytest.raises(ValueError):
             theoretical_levels(**{**good, "sigma_k": np.array([0.1, bad, 0.1, 0.1])})
+    # m is the length of sigma_k, so it must be a non-empty vector
+    for bad in [np.zeros(0), np.full((2, 2), 0.1)]:
+        with pytest.raises(ValueError, match="non-empty vector"):
+            theoretical_levels(**{**good, "sigma_k": bad})
 
 
 def test_theoretical_levels_rejects_fewer_than_one_curve():
     # n = 0 gave infinite levels and n < 0 NaN ones, so nothing was active
     for n in [0, -5]:
         with pytest.raises(ValueError, match="n >= 1"):
-            theoretical_levels(np.full(4, 0.1), 0.2, n=n, m=4, alpha=0.05)
-    theoretical_levels(np.full(4, 0.1), 0.2, n=1, m=4, alpha=0.05)
+            theoretical_levels(np.full(4, 0.1), 0.2, n=n, alpha=0.05)
+    theoretical_levels(np.full(4, 0.1), 0.2, n=1, alpha=0.05)
 
 
 def test_theoretical_levels_white_noise_arithmetic():
     # sigma_k^2 = tau^2/m for white noise, so r_k is constant across k
     tau2, se2, n, m = 0.5, 0.25, 64, 16
-    lev = theoretical_levels(np.full(m, np.sqrt(tau2 / m)), np.sqrt(se2), n=n, m=m, alpha=0.05)
+    lev = theoretical_levels(np.full(m, np.sqrt(tau2 / m)), np.sqrt(se2), n=n, alpha=0.05)
     z = normal_quantile(0.05 / (2.0 * m))
     expect = np.sqrt((tau2 / m + se2 / m) / n) * z
     assert_allclose(lev.r_k, np.full(m, expect), rtol=1e-14)
 
 
 def test_theoretical_levels_delta_gap_exact():
-    lev = theoretical_levels(np.array([0.3, 0.7]), 0.2, n=25, m=2, alpha=0.1, delta=0.05)
+    lev = theoretical_levels(np.array([0.3, 0.7]), 0.2, n=25, alpha=0.1, delta=0.05)
     z = normal_quantile(0.1 / 4.0)
     gap = 2.0 * 0.05 * z / np.sqrt(25.0)
     # definition identity, checked in sum form so it is exact in fp
@@ -274,7 +278,7 @@ def test_degenerate_panel_recovers_signal():
     # no process, no noise, delta=0: thresholding changes nothing
     g = make_grid(64)
     b = fourier_basis(g)
-    panel = CurvePanel(grid=g, Y=np.tile(eval_signal(SignalSpec(), g), (4, 1)))
+    panel = CurvePanel(Y=np.tile(eval_signal(SignalSpec(), g), (4, 1)))
     st = pooled_stats(per_curve_coeffs(panel, b), alpha=0.05, delta=0.0)
     est = fit("hard", st, b)
     assert_array_equal(est.coeffs, st.mu_hat)
@@ -315,7 +319,7 @@ def test_truncated_target_extremes():
 
 def _default_levels(basis, noise_sd=0.136, n=400, alpha=0.05):
     sk2 = sigma_k_theoretical(ProcessSpec(kind="bb"), basis)
-    return theoretical_levels(np.sqrt(sk2), noise_sd, n=n, m=basis.m, alpha=alpha)
+    return theoretical_levels(np.sqrt(sk2), noise_sd, n=n, alpha=alpha)
 
 
 def test_sparsity_counts_fourier_and_haar():

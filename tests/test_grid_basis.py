@@ -162,8 +162,17 @@ def test_corrupted_basis_detected():
     b = fourier_basis(make_grid(16))
     vals = b.values.copy()
     vals[3, 5] += 0.5
-    corrupted = BasisMatrix(family="fourier", grid=b.grid, values=vals, sup_norms=b.sup_norms)
+    corrupted = BasisMatrix(family="fourier", values=vals)
     assert check_orthonormality(corrupted) > 1e-3
+    # the grid and sup norms come from the matrix, which must be square
+    assert corrupted.grid == b.grid
+    assert_array_equal(corrupted.sup_norms, np.max(np.abs(vals), axis=0))
+    for bad in (np.ones((4, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="square"):
+            BasisMatrix(family="fourier", values=bad)
+    for given in ({"grid": b.grid}, {"sup_norms": b.sup_norms}):
+        with pytest.raises(TypeError):
+            BasisMatrix(family="fourier", values=b.values, **given)
 
 
 def test_basis_matrices_are_frozen():

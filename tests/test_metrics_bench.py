@@ -45,7 +45,7 @@ def _exact_sd_stats(mu_hat, sigma_k, sigma_eps, n, m, alpha, delta, offset=0.0):
     z = normal_quantile(alpha / (2.0 * m))
     return CoefficientStats(
         mu_hat=np.asarray(mu_hat, dtype=float), per_curve=np.zeros((n, m)),
-        s_k=s_k, n=n, alpha=alpha, delta=delta,
+        s_k=s_k, alpha=alpha, delta=delta,
         r_hat=(s_k + delta) * z / np.sqrt(n),
         r_tilde=(s_k + 3.0 * delta) * z / np.sqrt(n),
     )
@@ -54,7 +54,7 @@ def _exact_sd_stats(mu_hat, sigma_k, sigma_eps, n, m, alpha, delta, offset=0.0):
 def test_omega_nesting_holds_at_exact_sd():
     m, n, alpha, delta = 8, 50, 0.05, 0.02
     sigma_k = np.linspace(0.1, 0.5, m)
-    levels = theoretical_levels(sigma_k, 0.3, n=n, m=m, alpha=alpha, delta=delta)
+    levels = theoretical_levels(sigma_k, 0.3, n=n, alpha=alpha, delta=delta)
     mu = np.linspace(-1.0, 1.0, m)
     st = _exact_sd_stats(mu, sigma_k, 0.3, n, m, alpha, delta)
     # S_k at the population value: r_k <= (S_k+delta)z/sqrt(n) <= r_bar_k and
@@ -65,7 +65,7 @@ def test_omega_nesting_holds_at_exact_sd():
 def test_omega_fails_when_sd_drifts():
     m, n, alpha, delta = 8, 50, 0.05, 0.02
     sigma_k = np.linspace(0.1, 0.5, m)
-    levels = theoretical_levels(sigma_k, 0.3, n=n, m=m, alpha=alpha, delta=delta)
+    levels = theoretical_levels(sigma_k, 0.3, n=n, alpha=alpha, delta=delta)
     mu = np.zeros(m)
     # SD undershooting by more than delta breaks r_hat >= r_k
     st = _exact_sd_stats(mu, sigma_k, 0.3, n, m, alpha, delta, offset=-2.0 * delta)
@@ -83,7 +83,7 @@ def test_omega_widened_vs_tilde_margin():
     # hair above the boundary (the exact boundary can round either way)
     m, n, alpha, delta = 4, 25, 0.05, 0.05
     sigma_k = np.full(m, 0.4)
-    levels = theoretical_levels(sigma_k, 0.0, n=n, m=m, alpha=alpha, delta=delta)
+    levels = theoretical_levels(sigma_k, 0.0, n=n, alpha=alpha, delta=delta)
     st = _exact_sd_stats(np.zeros(m), sigma_k, 0.0, n, m, alpha, delta, offset=-delta + 1e-9)
     assert np.all(levels.r_bar <= st.r_tilde)
 
@@ -97,7 +97,7 @@ def test_omega_mc_frequency_with_generous_delta():
     cfg = PanelConfig(n=n, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
                       noise_sd=0.3, seed=51)
     sigma_k = np.sqrt(sigma_k_theoretical(cfg.process, b))
-    levels = theoretical_levels(sigma_k, cfg.noise_sd, n, 64, alpha, delta)
+    levels = theoretical_levels(sigma_k, cfg.noise_sd, n, alpha, delta)
     mu = analyze(eval_signal(cfg.signal, g), b)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(S, dtype=np.uint64)
     hits = 0
@@ -112,8 +112,8 @@ def test_omega_mc_frequency_with_generous_delta():
 def test_thm12_zero_everything_holds():
     g = make_grid(16)
     b = fourier_basis(g)
-    panel = CurvePanel(grid=g, Y=np.zeros((4, 16)))
-    levels = theoretical_levels(np.zeros(16), 0.0, n=4, m=16, alpha=0.05)
+    panel = CurvePanel(Y=np.zeros((4, 16)))
+    levels = theoretical_levels(np.zeros(16), 0.0, n=4, alpha=0.05)
     st = pooled_stats(per_curve_coeffs(panel, b), 0.05)
     for check in (oracle_check_thm1, oracle_check_thm2):
         sup_ok, l2_ok = check(st, b, levels, np.zeros(16))
@@ -123,8 +123,8 @@ def test_thm12_zero_everything_holds():
 def test_oracle_checks_reject_stats_at_other_levels():
     g = make_grid(16)
     b = fourier_basis(g)
-    pc = per_curve_coeffs(CurvePanel(grid=g, Y=np.zeros((4, 16))), b)
-    levels = theoretical_levels(np.zeros(16), 0.0, n=4, m=16, alpha=0.05, delta=0.01)
+    pc = per_curve_coeffs(CurvePanel(Y=np.zeros((4, 16))), b)
+    levels = theoretical_levels(np.zeros(16), 0.0, n=4, alpha=0.05, delta=0.01)
     mismatched = (
         pooled_stats(pc, 0.1, 0.01),  # alpha
         pooled_stats(pc, 0.05, 0.0),  # delta
@@ -200,7 +200,8 @@ def test_scenario_config_validation():
     for field, bad in (("band_alpha", 1.5), ("band_alpha", 0.0), ("band_alpha", float("nan")),
                        ("oracle_alpha", 1.0), ("oracle_alpha", -0.1), ("oracle_delta", -0.01),
                        ("oracle_delta", float("nan")), ("oracle_delta", float("inf")),
-                       ("oracle_checks", "false"), ("oracle_checks", 1)):
+                       ("oracle_checks", "false"), ("oracle_checks", 1),
+                       ("replicates", 2.5), ("replicates", 3.0), ("replicates", True)):
         with pytest.raises(ValueError, match=field):
             replace(base, **{field: bad})
     # thm3's MC standard error needs two replicates; a single one used to
@@ -315,6 +316,29 @@ def test_run_scenario_failure_carries_replicate_seed(monkeypatch):
     monkeypatch.setattr(mb, "generate_panel", boom)
     with pytest.raises(RuntimeError, match=r"replicate 0 failed \(panel seed \d+\)"):
         run_scenario(cfg)
+
+
+def test_thm3_failure_carries_replicate_seed(monkeypatch):
+    # thm3 draws the main loop's panels again, so its 2nd replicate is the
+    # 5th draw of an S=3 run and carries the main loop's 2nd seed
+    cfg = _scenario(S=3, oracle=True)
+    seed = int(np.random.SeedSequence(cfg.base_seed).generate_state(3, dtype=np.uint64)[1])
+    calls = []
+
+    def fail_fifth(config):
+        calls.append(config.seed)
+        if len(calls) == 5:
+            raise ValueError("synthetic failure")
+        return generate_panel(config)
+
+    monkeypatch.setattr(mb, "generate_panel", fail_fifth)
+    expect = rf"replicate 1 failed \(panel seed {seed}\): synthetic failure"
+    with pytest.raises(RuntimeError, match=expect):
+        run_scenario(cfg)
+    # called directly, thm3 fails on its own 2nd draw, again the 5th call
+    del calls[3:]
+    with pytest.raises(RuntimeError, match=expect):
+        oracle_check_thm3(replace(cfg.panel, seed=cfg.base_seed), S=3)
 
 
 def test_bench_report_validation():

@@ -246,14 +246,12 @@ def test_calibrate_rejects_zero_range():
 
 
 def test_generate_panel_degenerate_rows_equal_signal():
-    # without noise every row is the signal plus that row's path, and the
-    # panel's true mean is the signal itself
+    # without noise every row is the signal plus that row's path
     g = make_grid(16)
     cfg = PanelConfig(n=5, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
                       noise_sd=0.0, seed=4)
     panel = generate_panel(cfg)
-    f = eval_signal(SignalSpec(), g)
-    assert np.array_equal(panel.true_mean, f)
+    f = eval_signal(cfg.signal, g)
     assert_allclose(panel.Y - f, _paths(cfg.process, g, 5, 4), rtol=0, atol=1e-15)
 
 
@@ -274,20 +272,30 @@ def test_generate_panel_clt_band():
     panel = generate_panel(cfg)
     var_z = np.median(process_variance(cal.process, g))
     bound = 4.0 * np.sqrt((var_z + cal.noise_sd**2) / 400.0)
-    assert np.all(np.abs(panel.Y.mean(axis=0) - panel.true_mean) < bound)
+    assert np.all(np.abs(panel.Y.mean(axis=0) - eval_signal(cfg.signal, g)) < bound)
 
 
 def test_panel_config_and_panel_validation():
     g = make_grid(4)
-    with pytest.raises(ValueError):
-        PanelConfig(n=1, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=0.1, seed=0)
+    # a float or bool n would otherwise fail later, inside numpy
+    for bad in [1, 2.5, 3.0, True]:
+        with pytest.raises(ValueError, match="n >= 2"):
+            PanelConfig(n=bad, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=0.1, seed=0)
+    assert PanelConfig(n=np.int64(3), grid=g, signal=SignalSpec(), process=ProcessSpec(),
+                       noise_sd=0.1, seed=0).n == 3
     for bad in [np.nan, np.inf, -0.1]:
         with pytest.raises(ValueError, match="noise_sd"):
             PanelConfig(n=2, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=bad, seed=0)
+    # the grid is the width of Y: a vector has none, and one column is too few
+    assert CurvePanel(Y=np.ones((2, 3))).grid == make_grid(3)
     with pytest.raises(ValueError):
-        CurvePanel(grid=g, Y=np.ones((2, 3)))
+        CurvePanel(Y=np.ones(4))
     with pytest.raises(ValueError):
-        CurvePanel(grid=g, Y=np.array([[1.0, 2.0, np.nan, 4.0]] * 2))
+        CurvePanel(Y=np.ones((2, 1)))
+    with pytest.raises(TypeError):
+        CurvePanel(Y=np.ones((2, 4)), grid=g)
+    with pytest.raises(ValueError):
+        CurvePanel(Y=np.array([[1.0, 2.0, np.nan, 4.0]] * 2))
 
 
 def test_sigma_k_bb_constant_function_mc():

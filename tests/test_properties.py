@@ -25,7 +25,7 @@ def _random_stats(family, m, n, alpha, delta, seed):
     rng = np.random.default_rng(seed)
     basis = basis_for(family, make_grid(m))
     mean = rng.normal(scale=rng.uniform(0.0, 3.0), size=m)
-    panel = CurvePanel(grid=basis.grid, Y=mean + rng.normal(size=(n, m)))
+    panel = CurvePanel(Y=mean + rng.normal(size=(n, m)))
     return basis, pooled_stats(per_curve_coeffs(panel, basis), alpha, delta)
 
 

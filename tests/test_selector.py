@@ -59,8 +59,7 @@ def test_split_deterministic():
 
 
 def test_split_rejects_small_n():
-    g = make_grid(4)
-    panel = CurvePanel(grid=g, Y=np.zeros((3, 4)))
+    panel = CurvePanel(Y=np.zeros((3, 4)))
     with pytest.raises(ValueError):
         split_panel(panel, seed=0)
 
@@ -76,11 +75,10 @@ def test_split_uniformity_mc():
 
 
 def test_empirical_risk_zero_cases():
-    g = make_grid(4)
-    panel = CurvePanel(grid=g, Y=np.zeros((4, 4)))
+    panel = CurvePanel(Y=np.zeros((4, 4)))
     assert empirical_risk(panel, np.array([0, 1]), np.zeros(4)) == 0.0
     row = np.array([1.0, -2.0, 3.0, 0.0])
-    panel2 = CurvePanel(grid=g, Y=np.tile(row, (4, 1)))
+    panel2 = CurvePanel(Y=np.tile(row, (4, 1)))
     assert empirical_risk(panel2, np.array([2]), row) == 0.0
 
 
@@ -141,10 +139,10 @@ def test_risk_shift_invariance():
     # shifting the data and every fit by the same constant leaves each
     # held-out risk (hence the argmin) unchanged up to fp rounding
     p = _panel(n=12, seed=15, noise_sd=0.3)
-    shifted_panel = CurvePanel(grid=p.grid, Y=p.Y + 5.0)
+    shifted_panel = CurvePanel(Y=p.Y + 5.0)
     i1, i2 = split_panel(p, seed=2)
     b = fourier_basis(p.grid)
-    sub = CurvePanel(grid=p.grid, Y=p.Y[i1])
+    sub = CurvePanel(Y=p.Y[i1])
     st = pooled_stats(per_curve_coeffs(sub, b), alpha=0.05)
     fits = [fit("hard", st, b, 1).values, fit("hard", st, b, 2).values, st.mu_hat @ b.values.T]
     base = np.array([empirical_risk(p, i2, g) for g in fits])
@@ -161,7 +159,7 @@ def test_select_refit_reproduces_fit_bitwise():
     assert_array_equal(res1.fitted_values, res2.fitted_values)
     # manual refit on I1 through the public pieces
     b = fourier_basis(p.grid)
-    sub = CurvePanel(grid=p.grid, Y=p.Y[res1.i1_indices])
+    sub = CurvePanel(Y=p.Y[res1.i1_indices])
     st = pooled_stats(per_curve_coeffs(sub, b), alpha=cand.alpha)
     assert_array_equal(fit("hard", st, b, 1).values, res1.fitted_values)
 
