@@ -164,8 +164,6 @@ def coverage_experiment(
         raise ValueError(f"unknown band kind {band_kind!r}")
     if target_kind not in ("true_mean", "truncated_target"):
         raise ValueError(f"unknown target kind {target_kind!r}")
-    if S < 1:
-        raise ValueError("need at least one replicate")
     basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     if target_kind == "true_mean":

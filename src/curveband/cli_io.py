@@ -22,6 +22,7 @@ from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_repo
 from .grid_basis import BASIS_FAMILIES, basis_for, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
 from .process_sim import (
+    KIND_PARAMS,
     PROCESS_KINDS,
     SIGNAL_KINDS,
     CurvePanel,
@@ -29,6 +30,7 @@ from .process_sim import (
     ProcessSpec,
     SignalSpec,
     calibrate,
+    check_keys,
     generate_panel,
     process_variance,
     sigma_k_theoretical,
@@ -43,14 +45,12 @@ FMT = "%.17g"
 # 1/m: 6 printed decimals pass up to m = 2000, j/(m+1) and linspace rows fail
 GRID_ROW_TOLERANCE = 1e-3
 
-# Keys a scenario JSON may hold, by block and, for signal and process
-# blocks, by kind; estimator blocks are checked by the dataclass they build.
+# Keys a scenario JSON may hold, by block; signal and process blocks hold
+# the keys process_sim.KIND_PARAMS gives for their kind, and estimator
+# blocks are checked by the dataclass they build.
 _SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
 _PANEL_KEYS = {"n", "m", "signal", "process", "noise_sd", "calibration", "seed"}
 _CALIBRATION_KEYS = {"sigma_star", "snr"}
-_SIGNAL_KEYS = {"signal1": {"c1", "c2"}, "signal2": {"c3"}, "custom": {"custom_values"}}
-_AR_KEYS = {"ar_phi", "innovation_sd"}
-_PROCESS_KEYS = {"bb": set(), "bm": set(), "ar1": _AR_KEYS, "arima11": _AR_KEYS}
 
 # a custom signal needs its grid values, which only a scenario can give
 _SIGNAL_CHOICES = tuple(kind for kind in SIGNAL_KINDS if kind != "custom")
@@ -61,19 +61,13 @@ _SIMULATE_DEFAULTS = {"n": 100, "m": 64, "signal": "signal1", "process": "bb", "
 _PANEL_FLAGS = (*_SIMULATE_DEFAULTS, "sigma_star", "snr", "ar_phi", "innovation_sd")
 
 
-def signal_from_dict(d: dict) -> SignalSpec:
-    kw = dict(d)
-    kind = kw.pop("kind", "signal1")
-    spec = SignalSpec(kind=kind, **_reals(kw))
-    _check_keys(kw, _SIGNAL_KEYS[kind], f"{kind} signal")
-    return spec
-
-
-def process_from_dict(d: dict) -> ProcessSpec:
-    kw = dict(d)
-    kind = kw.pop("kind", "bb")
-    spec = ProcessSpec(kind=kind, **_reals(kw))
-    _check_keys(kw, _PROCESS_KEYS[kind], f"{kind} process")
+def _spec_from_dict(spec_cls, family: str, block: dict):
+    """A signal or process spec from a block that holds only keys its kind
+    reads, even at their defaults."""
+    kw = dict(block)
+    kind = kw.pop("kind", spec_cls.kind)
+    spec = spec_cls(kind=kind, **_reals(kw))
+    check_keys(kw, KIND_PARAMS[family][kind], f"{kind} {family}")
     return spec
 
 
@@ -109,8 +103,8 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
     """Panel block: n, m, signal, process, seed, and either noise_sd or a
     calibration block {sigma_star, snr} that derives noise and signal scale."""
     grid = make_grid(_integer(d["m"], "m"))
-    signal = signal_from_dict(d.get("signal", {}))
-    process = process_from_dict(d.get("process", {}))
+    signal = _spec_from_dict(SignalSpec, "signal", d.get("signal", {}))
+    process = _spec_from_dict(ProcessSpec, "process", d.get("process", {}))
     if "calibration" in d:
         cal = d["calibration"]
         calib = calibrate(process, grid, _real(cal["sigma_star"], "sigma_star"), _real(cal["snr"], "snr"), signal)
@@ -139,15 +133,13 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
 def _check_keys(block, known, where: str):
     if not isinstance(block, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - known)
-    if unknown:
-        raise ValueError(f"{where} does not read key(s) {unknown}; it reads some of {sorted(known)}")
+    check_keys(block, known, where)
 
 
 def _load_scenario(path: str) -> dict:
     """Scenario JSON whose top level, panel and calibration blocks hold no
-    key that the commands would ignore; signal_from_dict and
-    process_from_dict check the signal and process blocks by kind."""
+    key that the commands would ignore; _spec_from_dict checks the signal
+    and process blocks by kind."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     _check_keys(d, _SCENARIO_KEYS, "scenario")
@@ -199,18 +191,13 @@ def _write_table_csv(path: str, header, columns):
 
 
 def _panel_echo(config: PanelConfig) -> dict:
-    """A panel block that regenerates config: the keys the reader takes for
-    each signal and process kind, with noise_sd and the signal and process
-    parameters a calibration derived in place of the calibration block."""
-    signal, process = config.signal, config.process
-    return {
-        "n": config.n,
-        "m": config.grid.m,
-        "signal": {"kind": signal.kind, **{key: getattr(signal, key) for key in _SIGNAL_KEYS[signal.kind]}},
-        "process": {"kind": process.kind, **{key: getattr(process, key) for key in _PROCESS_KEYS[process.kind]}},
-        "noise_sd": config.noise_sd,
-        "seed": config.seed,
-    }
+    """A panel block that regenerates config: the keys each signal and
+    process kind reads, with noise_sd and the signal and process parameters
+    a calibration derived in place of the calibration block."""
+    echo = {"n": config.n, "m": config.grid.m, "noise_sd": config.noise_sd, "seed": config.seed}
+    for family, spec in (("signal", config.signal), ("process", config.process)):
+        echo[family] = {"kind": spec.kind, **{key: getattr(spec, key) for key in KIND_PARAMS[family][spec.kind]}}
+    return echo
 
 
 def _reject_given(args, dests, reason: str):
@@ -228,13 +215,10 @@ def cmd_simulate(args) -> int:
             default if getattr(args, dest) is None else getattr(args, dest)
             for dest, default in _SIMULATE_DEFAULTS.items()
         )
-        if process in ("bb", "bm"):
-            _reject_given(args, ("ar_phi", "innovation_sd"), f"--process {process} has no AR parameters")
-        d = {"n": n, "m": m, "signal": {"kind": signal}, "process": {"kind": process}}
-        if args.ar_phi is not None:
-            d["process"]["ar_phi"] = args.ar_phi
-        if args.innovation_sd is not None:
-            d["process"]["innovation_sd"] = args.innovation_sd
+        given = {dest: getattr(args, dest) for dest in ("ar_phi", "innovation_sd") if getattr(args, dest) is not None}
+        if not KIND_PARAMS["process"][process]:
+            _reject_given(args, given, f"--process {process} has no AR parameters")
+        d = {"n": n, "m": m, "signal": {"kind": signal}, "process": {"kind": process, **given}}
         if args.sigma_star is not None or args.snr is not None:
             if args.sigma_star is None or args.snr is None:
                 raise ValueError("calibration needs both --sigma-star and --snr")

@@ -33,7 +33,9 @@ __all__ = [
 ]
 
 
-RULES = ("hard", "soft", "least_squares")
+# The level multipliers each rule reads; least squares has no threshold to scale.
+RULE_MULTIPLIERS = {"hard": (1, 2), "soft": (1, 2), "least_squares": (1,)}
+RULES = tuple(RULE_MULTIPLIERS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +76,6 @@ class TheoreticalLevels:
 
 @dataclass(frozen=True, eq=False)
 class MeanEstimate:
-    rule: str  # one of RULES
-    level_multiplier: float
     coeffs: np.ndarray
     active: np.ndarray
     values: np.ndarray
@@ -144,32 +144,34 @@ def theoretical_levels(
     return TheoreticalLevels(r_k=r_k, r_bar=r_bar, alpha=alpha, delta=delta, n=n)
 
 
+def check_rule(rule: str, multiplier):
+    """Reject an unknown rule, or a multiplier the rule does not read."""
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
+    allowed = RULE_MULTIPLIERS[rule]
+    if multiplier not in allowed:
+        raise ValueError(f"threshold multiplier must be {' or '.join(map(str, allowed))}, got {multiplier}")
+
+
 def fit(rule: str, stats: CoefficientStats, basis: BasisMatrix, multiplier: float = 1) -> MeanEstimate:
     """Mean estimate by the named rule at the levels multiplier * r_hat_k.
 
     hard keeps mu_hat_k where |mu_hat_k| reaches the level (keep on ties);
     soft shrinks it toward zero by the level, zeroing crossings;
-    least_squares keeps every mu_hat_k and ignores the multiplier.
+    least_squares keeps every mu_hat_k and takes multiplier 1 alone.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
+    check_rule(rule, multiplier)
     if rule == "least_squares":
-        multiplier = 1
         coeffs = stats.mu_hat.copy()
         active = np.ones(stats.m, dtype=bool)
     else:
-        if multiplier not in (1, 2):
-            raise ValueError(f"threshold multiplier must be 1 or 2, got {multiplier}")
         level = multiplier * stats.r_hat
         active = np.abs(stats.mu_hat) >= level
         if rule == "hard":
             coeffs = np.where(active, stats.mu_hat, 0.0)
         else:
             coeffs = np.sign(stats.mu_hat) * np.maximum(np.abs(stats.mu_hat) - level, 0.0)
-    return MeanEstimate(
-        rule=rule, level_multiplier=float(multiplier), coeffs=coeffs, active=active,
-        values=synthesize(coeffs, basis),
-    )
+    return MeanEstimate(coeffs=coeffs, active=active, values=synthesize(coeffs, basis))
 
 
 def truncated_target(mu: np.ndarray, levels: np.ndarray, basis: BasisMatrix):

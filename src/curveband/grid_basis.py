@@ -33,6 +33,16 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def check_count(value, minimum: int, message: str):
+    """Raise ValueError(message) unless value is a whole number >= minimum.
+
+    Python and NumPy integers pass; a float such as 4.0 would fail only
+    later, inside numpy, and a bool would run as 0 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Midpoint design on (0,1): points[j-1] = (j - 1/2)/m.  m fixes the
@@ -42,8 +52,7 @@ class Grid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m < 2 or self.m != int(self.m):
-            raise ValueError(f"grid needs a whole number m >= 2, got {self.m}")
+        check_count(self.m, 2, "grid needs a whole number m >= 2")
         object.__setattr__(self, "points", _frozen_array((np.arange(1, self.m + 1) - 0.5) / self.m))
 
 

@@ -26,7 +26,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BASIS_FAMILIES, analyze, basis_for
+from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count
 from .process_sim import (
     PanelConfig,
     eval_signal,
@@ -61,9 +61,7 @@ class ScenarioConfig:
     oracle_delta: float = 0.01
 
     def __post_init__(self):
-        r = self.replicates
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-            raise ValueError(f"replicates must be a whole number >= 1, got {r!r}")
+        check_count(self.replicates, 1, "replicates must be a whole number >= 1")
         if not isinstance(self.oracle_checks, bool):  # bool("false") would be True
             raise ValueError(f"oracle_checks must be True or False, got {self.oracle_checks!r}")
         if self.oracle_checks and self.replicates < 2:
@@ -174,8 +172,7 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     known, not estimated) and is compared to the truncated target.  Returns
     (lhs_mc, rhs_bound, ok) where ok allows three MC standard errors.
     """
-    if S < 2:
-        raise ValueError("need S >= 2 replicates for an MC standard error")
+    check_count(S, 2, "need a whole number S >= 2 of replicates for an MC standard error")
     basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     mu = analyze(f, basis)

@@ -12,11 +12,11 @@ theoretical coefficient variances come from its Cholesky factor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, Grid
+from .grid_basis import BasisMatrix, Grid, check_count
 
 __all__ = [
     "SignalSpec",
@@ -33,8 +33,29 @@ __all__ = [
     "sigma_k_theoretical",
 ]
 
-SIGNAL_KINDS = ("signal1", "signal2", "custom")
-PROCESS_KINDS = ("bb", "bm", "ar1", "arima11")
+# The parameters each signal and process kind reads.  A spec holds every
+# other field at its default, so one process has one spec and one cached
+# factor, and the CLI reads its key checks and sidecar echo from here.
+_AR_PARAMS = ("ar_phi", "innovation_sd")
+KIND_PARAMS = {
+    "signal": {"signal1": ("c1", "c2"), "signal2": ("c3",), "custom": ("custom_values",)},
+    "process": {"bb": (), "bm": (), "ar1": _AR_PARAMS, "arima11": _AR_PARAMS},
+}
+SIGNAL_KINDS = tuple(KIND_PARAMS["signal"])
+PROCESS_KINDS = tuple(KIND_PARAMS["process"])
+
+
+def check_keys(keys, known, where: str):
+    """Reject keys outside known, naming them and where they were given."""
+    unread = sorted(set(keys) - set(known))
+    if unread:
+        raise ValueError(f"{where} does not read key(s) {unread}; it reads some of {sorted(known)}")
+
+
+def _check_unread_at_default(spec, family: str):
+    """A field the spec's kind does not read must keep its default."""
+    changed = [f.name for f in fields(spec) if f.name != "kind" and getattr(spec, f.name) != f.default]
+    check_keys(changed, KIND_PARAMS[family][spec.kind], f"{spec.kind} {family}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +79,19 @@ class SignalSpec:
         for name in ("c1", "c2", "c3"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"signal amplitude {name} must be finite")
-        if self.kind == "custom":
-            if self.custom_values is None:
-                raise ValueError("custom signal needs custom_values")
-            object.__setattr__(self, "custom_values", tuple(float(v) for v in self.custom_values))
+        if self.custom_values is not None:
+            values = tuple(float(v) for v in self.custom_values)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("custom_values must be finite")
+            object.__setattr__(self, "custom_values", values)
+        elif self.kind == "custom":
+            raise ValueError("custom signal needs custom_values")
+        _check_unread_at_default(self, "signal")
 
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Zero-mean process family; ar_phi/innovation_sd only drive ar1/arima11."""
+    """Zero-mean process family; ar_phi and innovation_sd drive ar1 and arima11."""
 
     kind: str = "bb"
     ar_phi: float = 0.5
@@ -79,6 +104,7 @@ class ProcessSpec:
             raise ValueError(f"ar_phi must be in (-1,1), got {self.ar_phi}")
         if not self.innovation_sd > 0.0:
             raise ValueError("innovation_sd must be positive")
+        _check_unread_at_default(self, "process")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +117,8 @@ class PanelConfig:
     seed: int
 
     def __post_init__(self):
-        # n >= 2 so the coefficient sample SD downstream is defined; a float
-        # or bool n would only fail later, inside numpy
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"panel needs a whole number n >= 2 of curves, got {self.n!r}")
+        # n >= 2 so the coefficient sample SD downstream is defined
+        check_count(self.n, 2, "panel needs a whole number n >= 2 of curves")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
@@ -216,6 +240,8 @@ def calibrate(
     """
     if not (0.0 < sigma_star < np.inf and 0.0 < snr < np.inf):
         raise ValueError("sigma_star and snr must be finite and positive")
+    if process.innovation_sd != ProcessSpec.innovation_sd:
+        raise ValueError(f"calibrate derives innovation_sd, so it must keep its default, got {process.innovation_sd}")
     process = _match_innovation(process, grid)
     var_z = float(np.median(process_variance(process, grid)))
     noise_sd = float(np.sqrt(var_z / sigma_star))
@@ -256,6 +282,7 @@ def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
     Every replicated experiment draws its panels from this list, so a
     replicate can be rerun alone from the panel seed a report quotes.
     """
+    check_count(S, 1, "need a whole number S >= 1 of replicates")
     seeds = np.random.SeedSequence(base_seed).generate_state(S, dtype=np.uint64)
     return [replace(template, seed=int(seed)) for seed in seeds]
 

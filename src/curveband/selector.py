@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import RULES, fit, pooled_stats
+from .estimator import check_rule, fit, pooled_stats
 from .grid_basis import BASIS_FAMILIES, basis_for
 from .process_sim import CurvePanel
 
@@ -29,10 +29,7 @@ class CandidateSpec:
     def __post_init__(self):
         if self.basis_family not in BASIS_FAMILIES:
             raise ValueError(f"unknown basis family {self.basis_family!r}")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.rule != "least_squares" and self.multiplier not in (1, 2):
-            raise ValueError("multiplier must be 1 or 2 for thresholding rules")
+        check_rule(self.rule, self.multiplier)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
 

@@ -241,6 +241,10 @@ def test_coverage_experiment_validation_and_notes():
         coverage_experiment(cfg, "magic_band", S=2)
     with pytest.raises(ValueError):
         coverage_experiment(cfg, "proposed_hard1", S=0)
+    # a float S would fail inside numpy, and S=True would run one replicate
+    for bad in [2.5, 3.0, True]:
+        with pytest.raises(ValueError, match="S >= 1"):
+            coverage_experiment(cfg, "proposed_hard1", S=bad)
     with pytest.raises(ValueError):
         coverage_experiment(cfg, "proposed_hard1", S=2, target_kind="oracle")
     with pytest.raises(ValueError, match="unknown basis family"):

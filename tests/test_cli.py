@@ -525,22 +525,25 @@ _CALIBRATION = {"sigma_star": 1.0, "snr": 4.25}
 _CALIBRATED_PANEL = {k: v for k, v in _PANEL.items() if k != "noise_sd"}
 
 
-@pytest.mark.parametrize("panel, needle", [
-    ({**_PANEL, "process": {"kind": "bb", "ar_phi": 0.3}}, "ar_phi"),
-    ({**_PANEL, "process": {"kind": "bm", "innovation_sd": 2.0}}, "innovation_sd"),
-    ({**_PANEL, "signal": {"kind": "signal1", "c3": 2.0}}, "c3"),
-    ({**_PANEL, "signal": {"kind": "signal2", "c1": 2.0}}, "c1"),
-    ({**_PANEL, "signal": {"kind": "signal2", "c2": 2.0}}, "c2"),
-    ({**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 16, "c1": 2.0}}, "c1"),
-    ({**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 16, "c3": 2.0}}, "c3"),
-    ({**_PANEL, "signal": {"kind": "signal1", "custom_values": [0.0] * 16}}, "custom_values"),
-    ({**_CALIBRATED_PANEL, "process": {"kind": "ar1", "innovation_sd": 2.0}, "calibration": _CALIBRATION},
+@pytest.mark.parametrize("top, needle", [
+    ({"panel": {**_PANEL, "process": {"kind": "bb", "ar_phi": 0.3}}}, "ar_phi"),
+    ({"panel": {**_PANEL, "process": {"kind": "bm", "innovation_sd": 2.0}}}, "innovation_sd"),
+    ({"panel": {**_PANEL, "signal": {"kind": "signal1", "c3": 2.0}}}, "c3"),
+    ({"panel": {**_PANEL, "signal": {"kind": "signal2", "c1": 2.0}}}, "c1"),
+    ({"panel": {**_PANEL, "signal": {"kind": "signal2", "c2": 2.0}}}, "c2"),
+    ({"panel": {**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 16, "c1": 2.0}}}, "c1"),
+    ({"panel": {**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 16, "c3": 2.0}}}, "c3"),
+    ({"panel": {**_PANEL, "signal": {"kind": "signal1", "custom_values": [0.0] * 16}}}, "custom_values"),
+    ({"panel": {**_CALIBRATED_PANEL, "process": {"kind": "ar1", "innovation_sd": 2.0}, "calibration": _CALIBRATION}},
      "innovation_sd"),
+    ({"estimators": [{"basis_family": "fourier", "rule": "least_squares", "multiplier": 2}]}, "multiplier"),
 ], ids=["bb-ar_phi", "bm-innovation_sd", "signal1-c3", "signal2-c1", "signal2-c2", "custom-c1", "custom-c3",
-        "signal1-custom_values", "calibration-innovation_sd"])
-def test_scenario_keys_the_kind_ignores_exit1(tmp_path, capsys, panel, needle):
-    scen = _scenario_file(tmp_path, panel=panel)
+        "signal1-custom_values", "calibration-innovation_sd", "least_squares-multiplier"])
+def test_scenario_keys_the_kind_ignores_exit1(tmp_path, capsys, top, needle):
+    # simulate reads the panel block alone, bench the estimators too
+    command = "bench" if "estimators" in top else "simulate"
+    scen = _scenario_file(tmp_path, **top)
     out = tmp_path / "p.csv"
-    assert _run("simulate", "--scenario", scen, "--out", out) == 1
+    assert _run(command, "--scenario", scen, "--out", out) == 1
     assert needle in capsys.readouterr().err
-    assert not out.exists()
+    assert not list(tmp_path.glob("p.csv*"))

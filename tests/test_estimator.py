@@ -217,6 +217,9 @@ def test_threshold_rejects_bad_multiplier():
             fit("hard", st, fourier_basis(g), mult)
         with pytest.raises(ValueError):
             fit("soft", st, fourier_basis(g), mult)
+    # least squares has no threshold to scale, so it takes multiplier 1 alone
+    with pytest.raises(ValueError, match="threshold multiplier must be 1, got 2"):
+        fit("least_squares", st, fourier_basis(g), 2)
 
 
 def test_fit_dispatches_each_rule_and_rejects_unknown():
@@ -230,8 +233,10 @@ def test_fit_dispatches_each_rule_and_rejects_unknown():
         soft = np.where(keep, mu - np.sign(mu) * mult * level, 0.0)
         assert_array_equal(fit("hard", st, b, mult).values, synthesize(hard, b))
         assert_array_equal(fit("soft", st, b, mult).values, synthesize(soft, b))
-        assert_array_equal(fit("least_squares", st, b, mult).values, synthesize(mu, b))
-    assert fit("soft", st, b).level_multiplier == 1.0
+    assert_array_equal(fit("least_squares", st, b, 1).values, synthesize(mu, b))
+    with pytest.raises(ValueError, match="multiplier"):
+        fit("least_squares", st, b, 2)
+    assert_array_equal(fit("soft", st, b).values, fit("soft", st, b, 1).values)
     with pytest.raises(ValueError, match="unknown rule"):
         fit("Hard", st, b)
 

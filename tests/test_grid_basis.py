@@ -39,8 +39,12 @@ def test_make_grid_m256_first_point():
 def test_make_grid_rejects_small_m():
     with pytest.raises(ValueError):
         make_grid(1)
-    with pytest.raises(ValueError):
-        make_grid(4.5)
+    # a whole float or a bool is not a size either; both basis builders
+    # would fail on it later
+    for bad in [4.5, 4.0, True]:
+        with pytest.raises(ValueError, match="m >= 2"):
+            make_grid(bad)
+    assert make_grid(np.int64(4)) == make_grid(4)
 
 
 def test_fourier_first_column_constant():

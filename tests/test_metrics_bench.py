@@ -173,8 +173,9 @@ def test_thm3_full_scenario_reduced():
                       noise_sd=cal.noise_sd, seed=77)
     lhs, rhs, ok = oracle_check_thm3(cfg, S=100)
     assert ok
-    with pytest.raises(ValueError):
-        oracle_check_thm3(cfg, S=1)
+    for bad in [1, 2.5, 3.0, True]:
+        with pytest.raises(ValueError, match="S >= "):
+            oracle_check_thm3(cfg, S=bad)
     with pytest.raises(ValueError, match="unknown basis family"):
         oracle_check_thm3(cfg, S=2, basis_family="wavelet")
 

@@ -51,15 +51,25 @@ def test_custom_signal_roundtrip_and_mismatch():
     assert_allclose(eval_signal(SignalSpec(kind="custom", custom_values=vals), g), vals)
     with pytest.raises(ValueError):
         eval_signal(SignalSpec(kind="custom", custom_values=(1.0, 2.0)), g)
+    for bad in [np.nan, np.inf]:
+        with pytest.raises(ValueError, match="custom_values"):
+            SignalSpec(kind="custom", custom_values=(1.0, bad))
 
 
 def test_process_spec_validation():
     with pytest.raises(ValueError):
         ProcessSpec(kind="ar1", ar_phi=1.0)
     with pytest.raises(ValueError):
-        ProcessSpec(kind="bb", innovation_sd=0.0)
+        ProcessSpec(kind="ar1", innovation_sd=0.0)
     with pytest.raises(ValueError):
         ProcessSpec(kind="nope")
+    # a field the kind does not read must keep its default, so one process
+    # has one spec; the error names the kind and the field
+    for spec, kind, field, value in [(ProcessSpec, "bb", "ar_phi", 0.3), (ProcessSpec, "bm", "innovation_sd", 7.0),
+                                     (SignalSpec, "signal2", "c1", 5.0), (SignalSpec, "signal1", "c3", 2.0)]:
+        with pytest.raises(ValueError, match=rf"{kind} .*does not read .*'{field}'"):
+            spec(kind=kind, **{field: value})
+    assert ProcessSpec(kind="bb", ar_phi=0.5, innovation_sd=1.0) == ProcessSpec(kind="bb")
 
 
 def test_covariance_matrix_bb_bm():
@@ -97,6 +107,11 @@ def test_bb_paths_zero_mean_and_variance():
     assert abs(v - target) < 3.0 * se
 
 
+def _process(kind):
+    """A process of the kind, with AR parameters off their defaults where it reads them."""
+    return ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3) if kind in ("ar1", "arima11") else ProcessSpec(kind)
+
+
 def _closed_form_covariance(p, grid):
     s, t = np.meshgrid(grid.points, grid.points, indexing="ij")
     if p.kind == "bb":
@@ -114,7 +129,7 @@ def _closed_form_covariance(p, grid):
 @pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
 def test_empirical_covariance_matches_kernel(kind):
     g = make_grid(32)
-    p = ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3)
+    p = _process(kind)
     target = _closed_form_covariance(p, g)
     assert_allclose(covariance_matrix(p, g), target, rtol=1e-13, atol=0)
     Z = _paths(p, g, 6000, 5)
@@ -199,7 +214,7 @@ def test_median_process_variance():
 @pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
 def test_process_variance_is_the_covariance_diagonal(kind):
     g = make_grid(64)
-    p = ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3)
+    p = _process(kind)
     assert np.array_equal(process_variance(p, g), np.diag(covariance_matrix(p, g)))
 
 
@@ -230,6 +245,9 @@ def test_calibrate_matches_ar_innovations():
     cal2 = calibrate(ProcessSpec(kind="arima11", ar_phi=0.5), g, 1.0, 1.5, SignalSpec())
     bm_med = np.median(process_variance(ProcessSpec(kind="bm"), g))
     assert np.median(process_variance(cal2.process, g)) == pytest.approx(bm_med, rel=1e-12)
+    # calibration derives the innovation, so a given one would be ignored
+    with pytest.raises(ValueError, match="innovation_sd"):
+        calibrate(ProcessSpec(kind="ar1", innovation_sd=7.0), g, 1.0, 1.5, SignalSpec())
 
 
 def test_calibrate_rejects_zero_range():
@@ -322,7 +340,7 @@ def _sigma_k_from_kernel(process, basis):
 @pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
 def test_sigma_k_matches_kernel_form(kind, family):
     b = basis_for(family, make_grid(64))
-    p = ProcessSpec(kind=kind, ar_phi=0.6, innovation_sd=0.3)
+    p = _process(kind)
     s2 = sigma_k_theoretical(p, b)
     ref = _sigma_k_from_kernel(p, b)
     assert np.all(s2 >= 0.0)

@@ -34,6 +34,8 @@ def test_candidate_spec_validation_and_labels():
         CandidateSpec("fourier", "ridge")
     with pytest.raises(ValueError):
         CandidateSpec("fourier", "hard", 3)
+    with pytest.raises(ValueError, match="threshold multiplier must be 1, got 2"):
+        CandidateSpec("fourier", "least_squares", multiplier=2)
     with pytest.raises(ValueError):
         CandidateSpec("fourier", "hard", 1, alpha=0.0)
 
