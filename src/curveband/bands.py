@@ -144,6 +144,21 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
     return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
 
+def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body) -> list:
+    """[body(coeffs) for each of S replicates], in seed order.  Replicate s
+    simulates template at the s-th replicate_configs seed; coeffs maps each
+    family in bases to its per-curve coefficients.  A failure names the
+    replicate and its panel seed, from which that panel replays alone."""
+    out = []
+    for s, cfg in enumerate(replicate_configs(template, base_seed, S)):
+        try:
+            panel = generate_panel(cfg)
+            out.append(body({fam: per_curve_coeffs(panel, basis) for fam, basis in bases.items()}))
+        except Exception as exc:
+            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
+    return out
+
+
 def coverage_experiment(
     scenario: PanelConfig,
     band_kind: str,
@@ -158,12 +173,15 @@ def coverage_experiment(
     The default target is the true mean; "truncated_target" instead checks
     the surrogate obtained by truncating the true coefficients at twice the
     theoretical widened levels, which is what the adaptive bands provably
-    cover (this needs the process covariance, so simulation only).
+    cover (this needs the process covariance, so simulation only).  Against
+    the true mean a competitor kind reads no delta, so a nonzero one is an error.
     """
     if band_kind not in BAND_KINDS:
         raise ValueError(f"unknown band kind {band_kind!r}")
     if target_kind not in ("true_mean", "truncated_target"):
         raise ValueError(f"unknown target kind {target_kind!r}")
+    if band_kind in COMPETITOR_KINDS and target_kind == "true_mean" and delta != 0.0:
+        raise ValueError(f"delta would be ignored: {band_kind} reads only alpha, and the true mean no level")
     basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     if target_kind == "true_mean":
@@ -176,17 +194,18 @@ def coverage_experiment(
     process_var = None
     if band_kind == "competitor_theoretical":
         process_var = process_variance(scenario.process, scenario.grid)
+
+    def score(coeffs):
+        stats = pooled_stats(coeffs[basis_family], alpha, delta)
+        band = _build_band(band_kind, basis, stats, process_var)
+        return covers(band, target), float(np.mean(2.0 * band.half_width))
+
+    # summed one replicate at a time, so the bits do not depend on how sum() adds
     covered = 0
     width_sum = 0.0
-    for s, cfg in enumerate(replicate_configs(scenario, scenario.seed, S)):
-        try:
-            panel = generate_panel(cfg)
-            stats = pooled_stats(per_curve_coeffs(panel, basis), alpha, delta)
-            band = _build_band(band_kind, basis, stats, process_var)
-            covered += covers(band, target)
-            width_sum += float(np.mean(2.0 * band.half_width))
-        except Exception as exc:
-            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
+    for hit, width in each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score):
+        covered += hit
+        width_sum += width
     notes = (LS_CENTER_NOTE,) if band_kind.startswith("competitor") else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=width_sum / S,

@@ -64,6 +64,8 @@ _PANEL_FLAGS = (*_SIMULATE_DEFAULTS, "sigma_star", "snr", "ar_phi", "innovation_
 def _spec_from_dict(spec_cls, family: str, block: dict):
     """A signal or process spec from a block that holds only keys its kind
     reads, even at their defaults."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{family} must be a JSON object")
     kw = dict(block)
     kind = kw.pop("kind", spec_cls.kind)
     spec = spec_cls(kind=kind, **_reals(kw))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, analyze, synthesize
+from .grid_basis import BasisMatrix, analyze, check_nonnegative, synthesize
 from .process_sim import CurvePanel, SignalSpec, eval_signal
 
 __all__ = [
@@ -106,8 +106,7 @@ def pooled_stats(per_curve: np.ndarray, alpha: float, delta: float = 0.0) -> Coe
         raise ValueError("need n >= 2 curves for the coefficient sample SD")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not (np.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    check_nonnegative(delta, "delta")
     mu_hat = pc.mean(axis=0)
     s_k = pc.std(axis=0, ddof=1)
     z = normal_quantile(alpha / (2.0 * m))
@@ -145,11 +144,11 @@ def theoretical_levels(
 
 
 def check_rule(rule: str, multiplier):
-    """Reject an unknown rule, or a multiplier the rule does not read."""
+    """Reject an unknown rule, or a multiplier (not a bool) the rule does not read."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
     allowed = RULE_MULTIPLIERS[rule]
-    if multiplier not in allowed:
+    if isinstance(multiplier, (bool, np.bool_)) or multiplier not in allowed:
         raise ValueError(f"threshold multiplier must be {' or '.join(map(str, allowed))}, got {multiplier}")
 
 

@@ -43,6 +43,13 @@ def check_count(value, minimum: int, message: str):
         raise ValueError(f"{message}, got {value!r}")
 
 
+def check_nonnegative(value, name: str):
+    """Raise ValueError unless value is a finite number >= 0; a bool, which
+    numpy would take as 0 or 1, is not one."""
+    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Midpoint design on (0,1): points[j-1] = (j - 1/2)/m.  m fixes the

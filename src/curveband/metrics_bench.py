@@ -12,25 +12,24 @@ per-replicate squared grid-L2 errors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, LS_CENTER_NOTE, _build_band, covers
+from .bands import BAND_KINDS, LS_CENTER_NOTE, _build_band, covers, each_replicate
 from .estimator import (
     CoefficientStats,
     TheoreticalLevels,
     fit,
-    per_curve_coeffs,
     pooled_stats,
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count
+from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count, check_nonnegative
 from .process_sim import (
     PanelConfig,
     eval_signal,
-    generate_panel,
     process_variance,
     replicate_configs,
     sigma_k_theoretical,
@@ -78,8 +77,7 @@ class ScenarioConfig:
         for name in ("band_alpha", "oracle_alpha"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0,1), got {getattr(self, name)}")
-        if not (np.isfinite(self.oracle_delta) and self.oracle_delta >= 0.0):
-            raise ValueError(f"oracle_delta must be finite and nonnegative, got {self.oracle_delta}")
+        check_nonnegative(self.oracle_delta, "oracle_delta")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +177,12 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     sigma_k = np.sqrt(sigma_k_theoretical(scenario.process, basis))
     levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha)
     _, target = truncated_target(mu, levels.r_k, basis)
-    errs = np.empty(S)
-    for s, cfg in enumerate(replicate_configs(scenario, scenario.seed, S)):
-        try:
-            mu_hat = per_curve_coeffs(generate_panel(cfg), basis).mean(axis=0)
-            _, values = truncated_target(mu_hat, 2.0 * levels.r_k, basis)
-            errs[s] = np.mean((values - target) ** 2)
-        except Exception as exc:
-            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
+
+    def sq_error(coeffs):
+        _, values = truncated_target(coeffs[basis_family].mean(axis=0), 2.0 * levels.r_k, basis)
+        return np.mean((values - target) ** 2)
+
+    errs = np.array(each_replicate(scenario, scenario.seed, S, {basis_family: basis}, sq_error))
     lhs = float(np.mean(errs))
     se = float(np.std(errs, ddof=1) / np.sqrt(S))
     n, m = scenario.n, basis.m
@@ -207,7 +203,6 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     """
     template = config.panel
     S = config.replicates
-    configs = replicate_configs(template, config.base_seed, S)
     f = eval_signal(template.signal, template.grid)
 
     families = {c.basis_family for c in config.estimators}
@@ -216,7 +211,6 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     bases = {fam: basis_for(fam, template.grid) for fam in families}
     band_basis = bases.get(config.band_basis_family)
 
-    oracle_levels = None
     if config.oracle_checks:
         mu_true = analyze(f, band_basis)
         sigma_k = np.sqrt(sigma_k_theoretical(template.process, band_basis))
@@ -227,48 +221,41 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     if "competitor_theoretical" in config.bands:
         process_var = process_variance(template.process, template.grid)
 
-    est_errs = np.empty((len(config.estimators), S))
     band_cov = np.zeros(len(config.bands), dtype=int)
     band_width = np.zeros(len(config.bands))
     oracle_hits = {"omega": 0, "thm1": 0, "thm2": 0}
 
-    for s, cfg in enumerate(configs):
-        try:
-            panel = generate_panel(cfg)
-            coeffs = {fam: per_curve_coeffs(panel, basis) for fam, basis in bases.items()}
-            stats_cache = {}
+    def replicate(coeffs):
+        @functools.cache
+        def stats_for(fam, alpha, delta):
+            return pooled_stats(coeffs[fam], alpha, delta)
 
-            def stats_for(fam, alpha, delta=0.0):
-                key = (fam, alpha, delta)
-                if key not in stats_cache:
-                    stats_cache[key] = pooled_stats(coeffs[fam], alpha, delta)
-                return stats_cache[key]
+        errs = []
+        for cand in config.estimators:
+            stats = stats_for(cand.basis_family, cand.alpha, 0.0)
+            est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
+            errs.append(np.mean((est.values - f) ** 2))
+        for b, kind in enumerate(config.bands):
+            bstats = stats_for(config.band_basis_family, config.band_alpha, 0.0)
+            band = _build_band(kind, band_basis, bstats, process_var)
+            band_cov[b] += covers(band, f)
+            band_width[b] += float(np.mean(2.0 * band.half_width))
+        if config.oracle_checks:
+            ostats = stats_for(config.band_basis_family, config.oracle_alpha, config.oracle_delta)
+            oracle_hits["omega"] += omega_event_check(ostats, oracle_levels, mu_true)
+            oracle_hits["thm1"] += all(oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true))
+            oracle_hits["thm2"] += all(oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true))
+        return errs
 
-            for e, cand in enumerate(config.estimators):
-                stats = stats_for(cand.basis_family, cand.alpha)
-                est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
-                est_errs[e, s] = np.mean((est.values - f) ** 2)
-            if config.bands:
-                bstats = stats_for(config.band_basis_family, config.band_alpha)
-                for b, kind in enumerate(config.bands):
-                    band = _build_band(kind, band_basis, bstats, process_var)
-                    band_cov[b] += covers(band, f)
-                    band_width[b] += float(np.mean(2.0 * band.half_width))
-            if config.oracle_checks:
-                ostats = stats_for(config.band_basis_family, config.oracle_alpha, config.oracle_delta)
-                oracle_hits["omega"] += omega_event_check(ostats, oracle_levels, mu_true)
-                s1, l1 = oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true)
-                s2, l2 = oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true)
-                oracle_hits["thm1"] += s1 and l1
-                oracle_hits["thm2"] += s2 and l2
-        except Exception as exc:
-            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
+    # one row per estimator, one column per replicate
+    est_errs = np.array(each_replicate(template, config.base_seed, S, bases, replicate)).T
 
     pass_rates = {}
     provenance = {
         "base_seed": int(config.base_seed),
         "replicates": S,
-        "replicate_seeds_head": [c.seed for c in configs[:8]],
+        # replicate_configs' first seeds do not depend on S
+        "replicate_seeds_head": [c.seed for c in replicate_configs(template, config.base_seed, min(S, 8))],
         "panel": {
             "n": template.n, "m": template.grid.m,
             "signal": template.signal.kind, "process": template.process.kind,
@@ -280,8 +267,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     if any(k.startswith("competitor") for k in config.bands):
         provenance["notes"] = [LS_CENTER_NOTE]
     if config.oracle_checks:
-        for tag in ("omega", "thm1", "thm2"):
-            pass_rates[tag] = oracle_hits[tag] / S
+        pass_rates = {tag: hits / S for tag, hits in oracle_hits.items()}
         thm3_panel = replace(template, seed=int(config.base_seed))
         lhs, rhs, ok = oracle_check_thm3(thm3_panel, S, config.band_basis_family, config.oracle_alpha)
         pass_rates["thm3"] = 1.0 if ok else 0.0
@@ -289,15 +275,13 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         provenance["oracle_alpha"] = config.oracle_alpha
         provenance["oracle_delta"] = config.oracle_delta
 
-    sqrt_emse = tuple(float(np.sqrt(np.mean(est_errs[e]))) for e in range(len(config.estimators)))
-    sqrt_medmse = tuple(float(np.sqrt(np.median(est_errs[e]))) for e in range(len(config.estimators)))
     return BenchReport(
         estimator_labels=tuple(c.label() for c in config.estimators),
-        sqrt_emse=sqrt_emse,
-        sqrt_medmse=sqrt_medmse,
+        sqrt_emse=tuple(float(np.sqrt(np.mean(row))) for row in est_errs),
+        sqrt_medmse=tuple(float(np.sqrt(np.median(row))) for row in est_errs),
         band_kinds=tuple(config.bands),
-        coverage=tuple(int(band_cov[b]) / S for b in range(len(config.bands))),
-        mean_width=tuple(float(band_width[b]) / S for b in range(len(config.bands))),
+        coverage=tuple(int(hits) / S for hits in band_cov),
+        mean_width=tuple(float(width) / S for width in band_width),
         oracle_pass_rates=pass_rates,
         provenance=provenance,
     )

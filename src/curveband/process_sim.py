@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, Grid, check_count
+from .grid_basis import BasisMatrix, Grid, check_count, check_nonnegative
 
 __all__ = [
     "SignalSpec",
@@ -119,8 +119,7 @@ class PanelConfig:
     def __post_init__(self):
         # n >= 2 so the coefficient sample SD downstream is defined
         check_count(self.n, 2, "panel needs a whole number n >= 2 of curves")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
+        check_nonnegative(self.noise_sd, "noise_sd")
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +278,8 @@ def generate_panel(config: PanelConfig) -> CurvePanel:
 def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
     """S copies of template, copy r seeded with the r-th word derived from base_seed.
 
-    Every replicated experiment draws its panels from this list, so a
-    replicate can be rerun alone from the panel seed a report quotes.
+    bands.each_replicate draws every replicated experiment's panels from
+    this list, so a replicate can be rerun alone from the panel seed quoted.
     """
     check_count(S, 1, "need a whole number S >= 1 of replicates")
     seeds = np.random.SeedSequence(base_seed).generate_state(S, dtype=np.uint64)

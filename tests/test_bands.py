@@ -253,6 +253,20 @@ def test_coverage_experiment_validation_and_notes():
     assert any("least-squares" in note for note in rep.notes)
 
 
+def test_coverage_experiment_rejects_a_delta_nothing_reads():
+    # a competitor band reads only alpha, and the true mean has no level; the
+    # truncated target's levels do read delta
+    g = make_grid(8)
+    cfg = PanelConfig(n=4, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
+                      noise_sd=0.1, seed=1)
+    for kind in ("competitor_theoretical", "competitor_sample_var"):
+        with pytest.raises(ValueError, match="reads only alpha"):
+            coverage_experiment(cfg, kind, S=2, delta=0.5)
+        assert coverage_experiment(cfg, kind, S=2, delta=0.0).replicates == 2
+        assert coverage_experiment(cfg, kind, S=2, target_kind="truncated_target", delta=0.5).replicates == 2
+    assert coverage_experiment(cfg, "proposed_hard1", S=2, delta=0.5).replicates == 2
+
+
 def test_coverage_experiment_failure_carries_replicate_seed(monkeypatch):
     g = make_grid(8)
     cfg = PanelConfig(n=4, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),

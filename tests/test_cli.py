@@ -399,6 +399,23 @@ def test_simulate_rejects_ar_flags_on_brownian_processes(tmp_path, capsys):
     assert meta["config"]["process"] == {"kind": "arima11", "ar_phi": 0.3, "innovation_sd": 2.0}
 
 
+def test_simulate_rejects_signal_and_process_blocks_that_are_not_objects(tmp_path, capsys):
+    # dict() reads [["kind", "bm"]] as {"kind": "bm"}, so these simulated bm
+    # with signal2 before
+    out = tmp_path / "p.csv"
+    cases = (
+        ({"signal": [["kind", "signal2"]], "process": [["kind", "bm"]]}, "signal must be a JSON object"),
+        ({"signal": [1, 2]}, "signal must be a JSON object"),
+        ({"process": [["kind", "bm"]]}, "process must be a JSON object"),
+        ({"process": [1, 2]}, "process must be a JSON object"),
+    )
+    for block, needle in cases:
+        scen = _scenario_file(tmp_path, panel={**_PANEL, **block})
+        assert _run("simulate", "--scenario", scen, "--out", out) == 1, block
+        assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_rejects_alpha_with_scenario(tmp_path, capsys):
     g = make_grid(16)
     ppath = tmp_path / "p.csv"

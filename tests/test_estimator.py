@@ -98,7 +98,7 @@ def test_pooled_validation():
         pooled_stats(np.zeros((3, 4)), alpha=1.5)
     with pytest.raises(ValueError):
         pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=-0.1)
-    for bad in [np.nan, np.inf]:
+    for bad in [np.nan, np.inf, True, np.True_]:
         with pytest.raises(ValueError, match="delta"):
             pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=bad)
 
@@ -212,7 +212,8 @@ def test_soft_shrinks_and_zeroes():
 def test_threshold_rejects_bad_multiplier():
     g = make_grid(2)
     st = _stats([1.0, 1.0], [0.1, 0.1])
-    for mult in [0, 3, 1.5]:
+    # True == 1, so a bool would pass as multiplier 1
+    for mult in [0, 3, 1.5, True, np.True_]:
         with pytest.raises(ValueError):
             fit("hard", st, fourier_basis(g), mult)
         with pytest.raises(ValueError):

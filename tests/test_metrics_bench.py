@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curveband.metrics_bench as mb
+from curveband import bands
+from curveband.bands import coverage_experiment
 from curveband.grid_basis import analyze, fourier_basis, make_grid, synthesize
 from curveband.process_sim import (
     CurvePanel,
@@ -17,6 +19,7 @@ from curveband.process_sim import (
     calibrate,
     eval_signal,
     generate_panel,
+    replicate_configs,
     sigma_k_theoretical,
 )
 from curveband.estimator import (
@@ -200,7 +203,7 @@ def test_scenario_config_validation():
     base = _scenario()
     for field, bad in (("band_alpha", 1.5), ("band_alpha", 0.0), ("band_alpha", float("nan")),
                        ("oracle_alpha", 1.0), ("oracle_alpha", -0.1), ("oracle_delta", -0.01),
-                       ("oracle_delta", float("nan")), ("oracle_delta", float("inf")),
+                       ("oracle_delta", float("nan")), ("oracle_delta", float("inf")), ("oracle_delta", True),
                        ("oracle_checks", "false"), ("oracle_checks", 1),
                        ("replicates", 2.5), ("replicates", 3.0), ("replicates", True)):
         with pytest.raises(ValueError, match=field):
@@ -297,13 +300,13 @@ def test_run_scenario_analyses_each_family_once_per_replicate(monkeypatch):
     cfg = _scenario(S=3, bands=("proposed_hard1",), oracle=True,
                     estimators=(CandidateSpec("fourier", "hard", 1), CandidateSpec("haar", "hard", 2)))
     calls = []
-    real = mb.per_curve_coeffs
+    real = bands.per_curve_coeffs
 
     def counting(panel, basis):
         calls.append(basis.family)
         return real(panel, basis)
 
-    monkeypatch.setattr(mb, "per_curve_coeffs", counting)
+    monkeypatch.setattr(bands, "per_curve_coeffs", counting)
     run_scenario(cfg)
     assert sorted(calls) == ["fourier"] * (2 * 3) + ["haar"] * 3
 
@@ -314,7 +317,7 @@ def test_run_scenario_failure_carries_replicate_seed(monkeypatch):
     def boom(config):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr(mb, "generate_panel", boom)
+    monkeypatch.setattr(bands, "generate_panel", boom)
     with pytest.raises(RuntimeError, match=r"replicate 0 failed \(panel seed \d+\)"):
         run_scenario(cfg)
 
@@ -332,7 +335,7 @@ def test_thm3_failure_carries_replicate_seed(monkeypatch):
             raise ValueError("synthetic failure")
         return generate_panel(config)
 
-    monkeypatch.setattr(mb, "generate_panel", fail_fifth)
+    monkeypatch.setattr(bands, "generate_panel", fail_fifth)
     expect = rf"replicate 1 failed \(panel seed {seed}\): synthetic failure"
     with pytest.raises(RuntimeError, match=expect):
         run_scenario(cfg)
@@ -340,6 +343,30 @@ def test_thm3_failure_carries_replicate_seed(monkeypatch):
     del calls[3:]
     with pytest.raises(RuntimeError, match=expect):
         oracle_check_thm3(replace(cfg.panel, seed=cfg.base_seed), S=3)
+
+
+def test_every_replicated_experiment_draws_the_replicate_seeds_through_bands(monkeypatch):
+    # run_scenario's replicates and its thm3 check, coverage_experiment and a
+    # direct thm3 call all simulate through the one engine in bands, each
+    # drawing the replicate_configs seeds in order
+    cfg = _scenario(S=3, bands=("proposed_hard1",), oracle=True)
+    want = [c.seed for c in replicate_configs(cfg.panel, cfg.base_seed, 3)]
+    seeds = []
+
+    def recording(config):
+        seeds.append(config.seed)
+        return generate_panel(config)
+
+    monkeypatch.setattr(bands, "generate_panel", recording)
+    run_scenario(cfg)
+    assert seeds == want + want
+    seeded = replace(cfg.panel, seed=cfg.base_seed)
+    seeds.clear()
+    coverage_experiment(seeded, "proposed_hard1", 3)
+    assert seeds == want
+    seeds.clear()
+    oracle_check_thm3(seeded, 3)
+    assert seeds == want
 
 
 def test_bench_report_validation():

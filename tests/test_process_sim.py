@@ -301,7 +301,8 @@ def test_panel_config_and_panel_validation():
             PanelConfig(n=bad, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=0.1, seed=0)
     assert PanelConfig(n=np.int64(3), grid=g, signal=SignalSpec(), process=ProcessSpec(),
                        noise_sd=0.1, seed=0).n == 3
-    for bad in [np.nan, np.inf, -0.1]:
+    # a bool noise_sd would run as 0 or 1
+    for bad in [np.nan, np.inf, -0.1, True, np.True_]:
         with pytest.raises(ValueError, match="noise_sd"):
             PanelConfig(n=2, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=bad, seed=0)
     # the grid is the width of Y: a vector has none, and one column is too few

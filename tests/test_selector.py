@@ -36,6 +36,9 @@ def test_candidate_spec_validation_and_labels():
         CandidateSpec("fourier", "hard", 3)
     with pytest.raises(ValueError, match="threshold multiplier must be 1, got 2"):
         CandidateSpec("fourier", "least_squares", multiplier=2)
+    # True == 1, but a bool is no multiplier: it would label itself ht1r
+    with pytest.raises(ValueError, match="threshold multiplier must be 1 or 2, got True"):
+        CandidateSpec("fourier", "hard", multiplier=True)
     with pytest.raises(ValueError):
         CandidateSpec("fourier", "hard", 1, alpha=0.0)
 
