@@ -139,14 +139,18 @@ def _check_keys(block, known, where: str):
 
 
 def _load_scenario(path: str) -> dict:
-    """Scenario JSON whose top level, panel and calibration blocks hold no
-    key that the commands would ignore; _spec_from_dict checks the signal
-    and process blocks by kind."""
+    """Scenario JSON whose blocks hold no key that the commands would ignore.
+
+    Every command checks the signal and process blocks by kind, also one
+    such as select that builds no panel from them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     _check_keys(d, _SCENARIO_KEYS, "scenario")
     panel = d.get("panel", {})
     _check_keys(panel, _PANEL_KEYS, "panel")
+    _spec_from_dict(SignalSpec, "signal", panel.get("signal", {}))
+    _spec_from_dict(ProcessSpec, "process", panel.get("process", {}))
     _check_keys(panel.get("calibration", {}), _CALIBRATION_KEYS, "calibration")
     if "calibration" in panel and "noise_sd" in panel:
         raise ValueError("panel gives both noise_sd and calibration; calibration derives noise_sd")

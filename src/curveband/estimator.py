@@ -130,9 +130,10 @@ def theoretical_levels(
     if sk.ndim != 1 or sk.size == 0:
         raise ValueError(f"sigma_k must be a non-empty vector, got shape {sk.shape}")
     m = sk.size
-    given = np.append(sk, (sigma_eps, delta))
-    if not np.all(np.isfinite(given) & (given >= 0.0)):
-        raise ValueError("sigma_k, sigma_eps and delta must be finite and nonnegative")
+    if not np.all(np.isfinite(sk) & (sk >= 0.0)):
+        raise ValueError("sigma_k must be finite and nonnegative")
+    check_nonnegative(sigma_eps, "sigma_eps")
+    check_nonnegative(delta, "delta")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if not n >= 1:

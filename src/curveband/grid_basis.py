@@ -8,6 +8,7 @@ plain matrix product and keeps round trips lossless.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,14 +133,26 @@ def haar_basis(grid: Grid) -> BasisMatrix:
 
 
 def basis_for(family: str, grid: Grid) -> BasisMatrix:
-    """Build the named basis family on the grid; unknown names are an error."""
-    # builders are looked up as module globals at call time, never cached in
-    # a table, so a wrapper installed on a builder sees every build
+    """The named basis family on the grid; unknown names are an error.
+
+    Every caller of a (family, m) pair shares one read-only BasisMatrix, so
+    repeated experiments in one process build none after the first.
+    """
+    if not isinstance(family, str) or family not in BASIS_FAMILIES:
+        raise ValueError(f"unknown basis family {family!r}; choose from {BASIS_FAMILIES}")
+    return _cached_basis(family, grid)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_basis(family: str, grid: Grid) -> BasisMatrix:
+    """One basis per (family, m), for both families on two grid sizes at
+    once; an entry holds 8 m^2 bytes, 8 MB at m=1024.  Grids compare by m,
+    so two grid objects of one m share an entry."""
+    # on a miss the builders are looked up as module globals, so a wrapper
+    # installed on a builder sees every real build and no cache hit
     if family == "fourier":
         return fourier_basis(grid)
-    if family == "haar":
-        return haar_basis(grid)
-    raise ValueError(f"unknown basis family {family!r}; choose from {BASIS_FAMILIES}")
+    return haar_basis(grid)
 
 
 def analyze(values: np.ndarray, basis: BasisMatrix) -> np.ndarray:

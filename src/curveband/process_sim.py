@@ -193,9 +193,22 @@ def _cholesky_t(process: ProcessSpec, grid: Grid) -> np.ndarray:
 
 
 def process_variance(process: ProcessSpec, grid: Grid) -> np.ndarray:
-    """Gamma(t_j, t_j) on the grid; not read from the one-entry factor cache,
-    which calibrate's three processes in a row would evict."""
-    return np.diag(covariance_matrix(process, grid))
+    """Gamma(t_j, t_j) on the grid, read-only and shared by every caller of
+    the same (process, m)."""
+    return _cached_process_variance(process, grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_process_variance(process: ProcessSpec, grid: Grid) -> np.ndarray:
+    """The covariance diagonal for up to eight (process, m) pairs, copied
+    so the m x m matrix is freed.
+
+    Its own cache, not the one-entry factor's: calibrate reads three or
+    four processes in a row, and a scenario runner cycles through four.
+    """
+    variance = np.diag(covariance_matrix(process, grid)).copy()
+    variance.setflags(write=False)
+    return variance
 
 
 @dataclass(frozen=True)
@@ -291,8 +304,21 @@ def sigma_k_theoretical(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:
 
     With Gamma = L L^T this is |L^T phi_k|^2 / m^2, read from the factor the
     panels are drawn from, so it is a sum of squares and never negative.
+    The result is read-only and shared by every caller of the same
+    (process, basis object).
     """
     if not isinstance(process, ProcessSpec):
         raise TypeError(f"sigma_k_theoretical needs a ProcessSpec, got {type(process).__name__}")
+    return _cached_sigma_k(process, basis)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_sigma_k(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:
+    """sigma_k^2 for up to eight (process, basis) pairs: four processes on
+    both families.  BasisMatrix hashes by identity, and the key's strong
+    reference keeps its id from being reused, so a hand-built basis never
+    reads another basis's entry; an entry also keeps its basis alive."""
     proj = _cholesky_t(process, basis.grid) @ basis.values
-    return np.sum(proj**2, axis=0) / basis.m**2
+    variances = np.sum(proj**2, axis=0) / basis.m**2
+    variances.setflags(write=False)
+    return variances

@@ -399,17 +399,19 @@ def test_simulate_rejects_ar_flags_on_brownian_processes(tmp_path, capsys):
     assert meta["config"]["process"] == {"kind": "arima11", "ar_phi": 0.3, "innovation_sd": 2.0}
 
 
+# dict() reads [["kind", "bm"]] as {"kind": "bm"}, so the first of these
+# simulated bm with signal2 before
+_MALFORMED_BLOCKS = (
+    ({"signal": [["kind", "signal2"]], "process": [["kind", "bm"]]}, "signal must be a JSON object"),
+    ({"signal": [1, 2]}, "signal must be a JSON object"),
+    ({"process": [["kind", "bm"]]}, "process must be a JSON object"),
+    ({"process": [1, 2]}, "process must be a JSON object"),
+)
+
+
 def test_simulate_rejects_signal_and_process_blocks_that_are_not_objects(tmp_path, capsys):
-    # dict() reads [["kind", "bm"]] as {"kind": "bm"}, so these simulated bm
-    # with signal2 before
     out = tmp_path / "p.csv"
-    cases = (
-        ({"signal": [["kind", "signal2"]], "process": [["kind", "bm"]]}, "signal must be a JSON object"),
-        ({"signal": [1, 2]}, "signal must be a JSON object"),
-        ({"process": [["kind", "bm"]]}, "process must be a JSON object"),
-        ({"process": [1, 2]}, "process must be a JSON object"),
-    )
-    for block, needle in cases:
+    for block, needle in _MALFORMED_BLOCKS:
         scen = _scenario_file(tmp_path, panel={**_PANEL, **block})
         assert _run("simulate", "--scenario", scen, "--out", out) == 1, block
         assert needle in capsys.readouterr().err
@@ -429,6 +431,18 @@ def test_select_rejects_alpha_with_scenario(tmp_path, capsys):
     assert _run("select", "--panel", ppath, "--scenario", scen, "--out", out) == 0
     config = json.loads(out.read_text())["config"]
     assert "alpha" not in config and config["scenario"] == str(scen)
+
+
+def test_select_rejects_signal_and_process_blocks_that_are_not_objects(tmp_path, capsys):
+    # select builds no panel from the scenario, so it once let these pass
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    out = tmp_path / "sel.json"
+    for block, needle in _MALFORMED_BLOCKS:
+        scen = _scenario_file(tmp_path, panel={**_PANEL, **block})
+        assert _run("select", "--panel", ppath, "--scenario", scen, "--out", out) == 1, block
+        assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_band_rejects_scenario_for_other_kinds(tmp_path, capsys):

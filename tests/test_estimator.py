@@ -141,6 +141,11 @@ def test_theoretical_levels_rejects_nan_and_inf():
                 theoretical_levels(**{**good, name: bad})
         with pytest.raises(ValueError):
             theoretical_levels(**{**good, "sigma_k": np.array([0.1, bad, 0.1, 0.1])})
+    # numpy would take a bool as 0 or 1
+    for bad in [True, np.True_]:
+        for name in ["sigma_eps", "delta"]:
+            with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+                theoretical_levels(**{**good, name: bad})
     # m is the length of sigma_k, so it must be a non-empty vector
     for bad in [np.zeros(0), np.full((2, 2), 0.1)]:
         with pytest.raises(ValueError, match="non-empty vector"):

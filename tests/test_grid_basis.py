@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from curveband import grid_basis
 from curveband.grid_basis import (
     BasisMatrix,
     Grid,
@@ -113,9 +116,41 @@ def test_basis_for_builds_named_family_and_rejects_unknown():
     g = make_grid(8)
     assert_array_equal(basis_for("fourier", g).values, fourier_basis(g).values)
     assert_array_equal(basis_for("haar", g).values, haar_basis(g).values)
-    for name in ["fourir", "wavelet", "Haar", ""]:
+    # a list cannot be a cache key, so it is rejected before the lookup
+    for name in ["fourir", "wavelet", "Haar", "", ["fourier"], None]:
         with pytest.raises(ValueError, match="unknown basis family"):
             basis_for(name, g)
+
+
+@pytest.mark.parametrize("family", ["fourier", "haar"])
+def test_basis_for_cache_hit_is_the_read_only_miss(family):
+    grid_basis._cached_basis.cache_clear()
+    miss = basis_for(family, make_grid(16))
+    hit = basis_for(family, make_grid(16))
+    assert hit is miss
+    built = {"fourier": fourier_basis, "haar": haar_basis}[family](make_grid(16))
+    assert np.array_equal(hit.values, built.values)
+    assert not miss.values.flags.writeable and not miss.sup_norms.flags.writeable
+    assert grid_basis._cached_basis.cache_info()[:2] == (1, 1)
+
+
+def test_basis_for_builds_through_the_module_global_once(monkeypatch):
+    calls = []
+
+    def counting(grid):
+        calls.append(grid.m)
+        return fourier_basis(grid)
+
+    monkeypatch.setattr(grid_basis, "fourier_basis", counting)
+    grid_basis._cached_basis.cache_clear()
+    basis_for("fourier", make_grid(8))
+    basis_for("fourier", make_grid(8))
+    assert calls == [8]
+
+
+def test_basis_for_stays_a_plain_public_function():
+    # a benchmark tracer wraps only plain functions named in __all__
+    assert inspect.isfunction(basis_for) and "basis_for" in grid_basis.__all__
 
 
 def test_analyze_constant_vector():

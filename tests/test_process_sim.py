@@ -2,6 +2,7 @@
 paths, calibration, and theoretical coefficient variances, each against
 either a hand computation or an independent Monte-Carlo oracle."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curveband import process_sim
-from curveband.grid_basis import basis_for, fourier_basis, make_grid
+from curveband.grid_basis import BasisMatrix, basis_for, fourier_basis, make_grid
 from curveband.process_sim import (
     CurvePanel,
     PanelConfig,
@@ -215,7 +216,13 @@ def test_median_process_variance():
 def test_process_variance_is_the_covariance_diagonal(kind):
     g = make_grid(64)
     p = _process(kind)
-    assert np.array_equal(process_variance(p, g), np.diag(covariance_matrix(p, g)))
+    process_sim._cached_process_variance.cache_clear()
+    miss = process_variance(p, g)
+    hit = process_variance(p, make_grid(64))
+    assert hit is miss
+    assert np.array_equal(miss, np.diag(covariance_matrix(p, g)))
+    # a copy: a view of the diagonal would keep the m x m matrix in the cache
+    assert miss.base is None and not miss.flags.writeable
 
 
 def test_calibrate_noise_level_bb():
@@ -342,12 +349,30 @@ def _sigma_k_from_kernel(process, basis):
 def test_sigma_k_matches_kernel_form(kind, family):
     b = basis_for(family, make_grid(64))
     p = _process(kind)
+    process_sim._cached_sigma_k.cache_clear()
     s2 = sigma_k_theoretical(p, b)
+    assert sigma_k_theoretical(p, b) is s2 and not s2.flags.writeable
     ref = _sigma_k_from_kernel(p, b)
     assert np.all(s2 >= 0.0)
     # relative to the largest variance: both forms round at that scale, so
     # the smallest arima11 entries differ by up to 4e-13 of themselves
     assert np.max(np.abs(s2 - ref)) <= 1e-14 * np.max(ref)
+
+
+def test_sigma_k_of_a_hand_built_basis_is_its_own():
+    g = make_grid(16)
+    p = ProcessSpec(kind="bm")
+    fourier = sigma_k_theoretical(p, basis_for("fourier", g))
+    # same family name and m, other columns: keyed by the basis object
+    relabelled = sigma_k_theoretical(p, BasisMatrix("fourier", basis_for("haar", g).values))
+    assert np.array_equal(relabelled, sigma_k_theoretical(p, basis_for("haar", g)))
+    assert not np.array_equal(relabelled, fourier)
+
+
+def test_cached_public_names_stay_plain_functions():
+    # a benchmark tracer wraps only plain functions named in __all__
+    for name in ("sigma_k_theoretical", "process_variance"):
+        assert inspect.isfunction(getattr(process_sim, name)) and name in process_sim.__all__
 
 
 def test_sigma_k_rejects_a_kernel_matrix():
