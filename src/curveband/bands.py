@@ -25,7 +25,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BasisMatrix, analyze, basis_for
+from .grid_basis import BasisMatrix, analyze, basis_for, check_nonnegative, matvec
 from .process_sim import (
     PanelConfig,
     eval_signal,
@@ -56,6 +56,10 @@ COMPETITOR_KINDS = ("competitor_theoretical", "competitor_sample_var")
 BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", *COMPETITOR_KINDS)
 
 LS_CENTER_NOTE = "competitor bands centered at the pooled least-squares mean (kernel smoothing out of scope)"
+
+# Bytes of one basis family's stacked coefficients per chunk of replicates:
+# glibc's default mmap threshold, so a chunk's stack stays on the heap.
+_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +103,19 @@ class CoverageReport:
         return self.covered_count / self.replicates
 
 
-def covers(band: ConfidenceBand, target: np.ndarray) -> bool:
-    """Simultaneous containment at every grid point."""
+def covers(band: ConfidenceBand, target: np.ndarray):
+    """Simultaneous containment at every grid point: a bool, or for a
+    stacked band one bool per replicate."""
     tgt = np.asarray(target, dtype=float)
-    if tgt.shape != band.center.shape:
+    if tgt.shape != band.center.shape[-1:]:
         raise ValueError("target length does not match band")
-    return bool(np.all((tgt >= band.lower) & (tgt <= band.upper)))
+    return verdict(np.all((tgt >= band.lower) & (tgt <= band.upper), axis=-1))
+
+
+def verdict(hits: np.ndarray):
+    """A per-replicate check's result: a bool for one replicate, else the
+    bool array over the stack's leading axes."""
+    return bool(hits) if hits.ndim == 0 else hits
 
 
 def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_var=None) -> ConfidenceBand:
@@ -118,15 +129,16 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
     half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
     Bonferroni: V is process_var, the known pointwise process variance, for
     competitor_theoretical, and the sample variance across the
-    reconstructed curves for competitor_sample_var.
+    reconstructed curves for competitor_sample_var.  Stacked stats give a
+    stacked band, one row per replicate.
     """
     if kind in _PROPOSED_BANDS:
         rule, width = _PROPOSED_BANDS[kind]
         indicator = np.abs(stats.mu_hat) > stats.r_hat
-        half = width * (np.abs(basis.values) @ (stats.r_tilde * indicator))
+        half = width * matvec(np.abs(basis.values), stats.r_tilde * indicator)
     elif kind == "untruncated_ls":
         rule = "hard"
-        half = np.abs(basis.values) @ stats.r_hat
+        half = matvec(np.abs(basis.values), stats.r_hat)
     elif kind in COMPETITOR_KINDS:
         rule = "least_squares"
         if kind == "competitor_theoretical":
@@ -135,8 +147,9 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
                 raise ValueError(f"variance function must have length {basis.m}")
             if np.any(v < 0.0):
                 raise ValueError("variance function must be nonnegative")
+            v = np.broadcast_to(v, stats.mu_hat.shape)
         else:
-            v = (stats.per_curve @ basis.values.T).var(axis=0, ddof=1)
+            v = (stats.per_curve @ basis.values.T).var(axis=-2, ddof=1)
         half = np.sqrt(v / stats.n) * normal_quantile(stats.alpha / (2.0 * basis.m))
     else:
         raise ValueError(f"unknown band kind {kind!r}")
@@ -145,18 +158,54 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
 
 
 def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body) -> list:
-    """[body(coeffs) for each of S replicates], in seed order.  Replicate s
-    simulates template at the s-th replicate_configs seed; coeffs maps each
-    family in bases to its per-curve coefficients.  A failure names the
-    replicate and its panel seed, from which that panel replays alone."""
+    """The results of body over S replicates, in seed order.
+
+    Replicate s simulates template at the s-th replicate_configs seed and
+    analyses its panel once per family in bases.  body takes a chunk of c
+    consecutive replicates, as each family mapped to its (c, n, m) stack of
+    per-curve coefficients, and returns c results.  A chunk holds as many
+    replicates as keep one family's stack within _CHUNK_BYTES, and at least
+    one.  A failure names the replicate and its panel seed, from which that
+    panel replays alone; a chunk whose body raises is rerun one replicate
+    at a time to find it.
+    """
+    configs = replicate_configs(template, base_seed, S)
+    size = max(1, _CHUNK_BYTES // (8 * template.n * template.grid.m))
     out = []
-    for s, cfg in enumerate(replicate_configs(template, base_seed, S)):
+    for start in range(0, S, size):
+        chunk = list(enumerate(configs[start:start + size], start))
+        coeffs = {fam: [] for fam in bases}
+        for s, cfg in chunk:
+            try:
+                panel = generate_panel(cfg)
+                for fam, basis in bases.items():
+                    coeffs[fam].append(per_curve_coeffs(panel, basis))
+            except Exception as exc:
+                raise _failure(s, cfg, exc) from exc
+        # one replicate stacks as a view, without copying its n x m arrays
+        stacks = {fam: cs[0][None] if len(cs) == 1 else np.array(cs) for fam, cs in coeffs.items()}
         try:
-            panel = generate_panel(cfg)
-            out.append(body({fam: per_curve_coeffs(panel, basis) for fam, basis in bases.items()}))
-        except Exception as exc:
-            raise RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}") from exc
+            out.extend(body(stacks))
+        except Exception:
+            for r, (s, cfg) in enumerate(chunk):
+                try:
+                    out.extend(body({fam: stack[r:r + 1] for fam, stack in stacks.items()}))
+                except Exception as exc:
+                    raise _failure(s, cfg, exc) from exc
     return out
+
+
+def _failure(s: int, cfg: PanelConfig, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}")
+
+
+def _sum_in_order(values) -> float:
+    """Sum one replicate at a time, so the bits do not depend on how sum()
+    or numpy adds."""
+    total = 0.0
+    for v in values:
+        total += v
+    return float(total)
 
 
 def coverage_experiment(
@@ -180,6 +229,9 @@ def coverage_experiment(
         raise ValueError(f"unknown band kind {band_kind!r}")
     if target_kind not in ("true_mean", "truncated_target"):
         raise ValueError(f"unknown target kind {target_kind!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    check_nonnegative(delta, "delta")
     if band_kind in COMPETITOR_KINDS and target_kind == "true_mean" and delta != 0.0:
         raise ValueError(f"delta would be ignored: {band_kind} reads only alpha, and the true mean no level")
     basis = basis_for(basis_family, scenario.grid)
@@ -198,14 +250,12 @@ def coverage_experiment(
     def score(coeffs):
         stats = pooled_stats(coeffs[basis_family], alpha, delta)
         band = _build_band(band_kind, basis, stats, process_var)
-        return covers(band, target), float(np.mean(2.0 * band.half_width))
+        return np.array([covers(band, target), np.mean(2.0 * band.half_width, axis=-1)]).T
 
-    # summed one replicate at a time, so the bits do not depend on how sum() adds
-    covered = 0
-    width_sum = 0.0
-    for hit, width in each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score):
-        covered += hit
-        width_sum += width
+    # one row per replicate: hit, width
+    rows = np.array(each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score))
+    covered = int(rows[:, 0].sum())
+    width_sum = _sum_in_order(rows[:, 1])
     notes = (LS_CENTER_NOTE,) if band_kind.startswith("competitor") else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=width_sum / S,

@@ -40,7 +40,11 @@ RULES = tuple(RULE_MULTIPLIERS)
 
 @dataclass(frozen=True, eq=False)
 class CoefficientStats:
-    """Pooled and per-curve coefficients with their data-driven levels."""
+    """Pooled and per-curve coefficients with their data-driven levels.
+
+    per_curve is n x m, or a (..., n, m) stack of replicates; every other
+    array then carries the same leading axes.
+    """
 
     mu_hat: np.ndarray
     per_curve: np.ndarray
@@ -52,11 +56,11 @@ class CoefficientStats:
 
     @property
     def n(self) -> int:
-        return self.per_curve.shape[0]
+        return self.per_curve.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.mu_hat.shape[0]
+        return self.mu_hat.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,17 +102,19 @@ def per_curve_coeffs(panel: CurvePanel, basis: BasisMatrix) -> np.ndarray:
 
 
 def pooled_stats(per_curve: np.ndarray, alpha: float, delta: float = 0.0) -> CoefficientStats:
+    """Pool an n x m matrix of per-curve coefficients over its curves, or
+    each matrix of a (..., n, m) stack; each slice pools as it would alone."""
     pc = np.asarray(per_curve, dtype=float)
-    if pc.ndim != 2:
+    if pc.ndim < 2:
         raise ValueError("per-curve coefficients must be an n x m matrix")
-    n, m = pc.shape
+    n, m = pc.shape[-2:]
     if n < 2:
         raise ValueError("need n >= 2 curves for the coefficient sample SD")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     check_nonnegative(delta, "delta")
-    mu_hat = pc.mean(axis=0)
-    s_k = pc.std(axis=0, ddof=1)
+    mu_hat = pc.mean(axis=-2)
+    s_k = pc.std(axis=-2, ddof=1)
     z = normal_quantile(alpha / (2.0 * m))
     r_hat = (s_k + delta) * z / np.sqrt(n)
     r_tilde = (s_k + 3.0 * delta) * z / np.sqrt(n)
@@ -159,11 +165,12 @@ def fit(rule: str, stats: CoefficientStats, basis: BasisMatrix, multiplier: floa
     hard keeps mu_hat_k where |mu_hat_k| reaches the level (keep on ties);
     soft shrinks it toward zero by the level, zeroing crossings;
     least_squares keeps every mu_hat_k and takes multiplier 1 alone.
+    Stacked stats give one estimate per replicate along the leading axes.
     """
     check_rule(rule, multiplier)
     if rule == "least_squares":
         coeffs = stats.mu_hat.copy()
-        active = np.ones(stats.m, dtype=bool)
+        active = np.ones(stats.mu_hat.shape, dtype=bool)
     else:
         level = multiplier * stats.r_hat
         active = np.abs(stats.mu_hat) >= level
@@ -177,11 +184,12 @@ def fit(rule: str, stats: CoefficientStats, basis: BasisMatrix, multiplier: floa
 def truncated_target(mu: np.ndarray, levels: np.ndarray, basis: BasisMatrix):
     """Truncate true coefficients at per-index levels and rebuild the function.
 
-    Simulation-only: needs the true coefficient vector.
+    Simulation-only: needs the true coefficient vector.  mu may be a
+    (..., m) stack, truncated row by row at the same m levels.
     """
     mu = np.asarray(mu, dtype=float)
     lev = np.asarray(levels, dtype=float)
-    if mu.shape != lev.shape:
+    if lev.ndim != 1 or mu.shape[-1:] != lev.shape:
         raise ValueError("mu and levels must have matching length")
     coeffs = np.where(np.abs(mu) >= lev, mu, 0.0)
     return coeffs, synthesize(coeffs, basis)

@@ -164,11 +164,19 @@ def analyze(values: np.ndarray, basis: BasisMatrix) -> np.ndarray:
 
 
 def synthesize(coeffs: np.ndarray, basis: BasisMatrix) -> np.ndarray:
-    """Function values g(t_j) = sum_k coeffs_k phi_k(t_j)."""
+    """Function values g(t_j) = sum_k coeffs_k phi_k(t_j), over the last
+    axis of coeffs, so a (..., m) stack gives one function per row."""
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (basis.m,):
+    if c.ndim < 1 or c.shape[-1] != basis.m:
         raise ValueError(f"expected vector of length {basis.m}, got shape {c.shape}")
-    return basis.values @ c
+    return matvec(basis.values, c)
+
+
+def matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ v for each v along the last axis of vectors.  Written as a
+    stack of one-column products, each slice is bit-identical to the 1-D
+    matrix @ v (vectors @ matrix.T is not)."""
+    return (matrix @ vectors[..., None])[..., 0]
 
 
 def check_orthonormality(basis: BasisMatrix) -> float:

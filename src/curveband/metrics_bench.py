@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, LS_CENTER_NOTE, _build_band, covers, each_replicate
+from .bands import BAND_KINDS, LS_CENTER_NOTE, _build_band, _sum_in_order, covers, each_replicate, verdict
 from .estimator import (
     CoefficientStats,
     TheoreticalLevels,
@@ -113,19 +113,20 @@ class BenchReport:
         }
 
 
-def omega_event_check(stats: CoefficientStats, levels: TheoreticalLevels, mu_true: np.ndarray) -> bool:
+def omega_event_check(stats: CoefficientStats, levels: TheoreticalLevels, mu_true: np.ndarray):
     """Coefficient accuracy plus the level-nesting chain, jointly over all k.
 
     Checks |mu_hat_k - mu_k| <= r_k, r_hat_k >= r_k, r_hat_k <= r_bar_k and
     r_bar_k <= r_tilde_k.  Needs the process covariance, so simulation only.
+    A bool, or for stacked stats one bool per replicate.
     """
     _check_levels_match(stats, levels)
     mu = np.asarray(mu_true, dtype=float)
-    if mu.shape != stats.mu_hat.shape:
+    if mu.shape != stats.mu_hat.shape[-1:]:
         raise ValueError("mu_true length does not match stats")
-    accurate = np.all(np.abs(stats.mu_hat - mu) <= levels.r_k)
-    nested = np.all((stats.r_hat >= levels.r_k) & (stats.r_hat <= levels.r_bar) & (levels.r_bar <= stats.r_tilde))
-    return bool(accurate and nested)
+    accurate = np.abs(stats.mu_hat - mu) <= levels.r_k
+    nested = (stats.r_hat >= levels.r_k) & (stats.r_hat <= levels.r_bar) & (levels.r_bar <= stats.r_tilde)
+    return verdict(np.all(accurate & nested, axis=-1))
 
 
 def _check_levels_match(stats: CoefficientStats, levels: TheoreticalLevels):
@@ -143,9 +144,9 @@ def _thm12_check(rule, stats, basis, levels, mu_true):
     keep = np.abs(np.asarray(mu_true, dtype=float)) >= levels.r_k
     sup_bound = 3.0 * float(np.max(basis.sup_norms)) * float(np.sum(levels.r_bar * keep))
     l2_bound = 3.0 * float(np.sqrt(np.sum(levels.r_bar**2 * keep)))
-    sup_ok = float(np.max(np.abs(diff))) <= sup_bound
-    l2_ok = float(np.sqrt(np.mean(diff**2))) <= l2_bound
-    return bool(sup_ok), bool(l2_ok)
+    sup_ok = np.max(np.abs(diff), axis=-1) <= sup_bound
+    l2_ok = np.sqrt(np.mean(diff**2, axis=-1)) <= l2_bound
+    return verdict(sup_ok), verdict(l2_ok)
 
 
 def oracle_check_thm1(stats: CoefficientStats, basis, levels: TheoreticalLevels, mu_true) -> tuple:
@@ -153,7 +154,8 @@ def oracle_check_thm1(stats: CoefficientStats, basis, levels: TheoreticalLevels,
 
     sup bound: 3 max_k sup|phi_k| * sum_k r_bar_k over |mu_k| >= r_k;
     L2 bound: 3 sqrt(sum r_bar_k^2 over the same set).  stats must be
-    pooled at the levels' n, alpha and delta.
+    pooled at the levels' n, alpha and delta.  Returns (sup_ok, l2_ok), two
+    bools, or for stacked stats two bool arrays over the replicates.
     """
     return _thm12_check("hard", stats, basis, levels, mu_true)
 
@@ -179,8 +181,8 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     _, target = truncated_target(mu, levels.r_k, basis)
 
     def sq_error(coeffs):
-        _, values = truncated_target(coeffs[basis_family].mean(axis=0), 2.0 * levels.r_k, basis)
-        return np.mean((values - target) ** 2)
+        _, values = truncated_target(coeffs[basis_family].mean(axis=-2), 2.0 * levels.r_k, basis)
+        return np.mean((values - target) ** 2, axis=-1)
 
     errs = np.array(each_replicate(scenario, scenario.seed, S, {basis_family: basis}, sq_error))
     lhs = float(np.mean(errs))
@@ -221,34 +223,37 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     if "competitor_theoretical" in config.bands:
         process_var = process_variance(template.process, template.grid)
 
-    band_cov = np.zeros(len(config.bands), dtype=int)
-    band_width = np.zeros(len(config.bands))
-    oracle_hits = {"omega": 0, "thm1": 0, "thm2": 0}
-
-    def replicate(coeffs):
+    def chunk(coeffs):
         @functools.cache
         def stats_for(fam, alpha, delta):
             return pooled_stats(coeffs[fam], alpha, delta)
 
-        errs = []
+        cols = []
         for cand in config.estimators:
             stats = stats_for(cand.basis_family, cand.alpha, 0.0)
             est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
-            errs.append(np.mean((est.values - f) ** 2))
-        for b, kind in enumerate(config.bands):
-            bstats = stats_for(config.band_basis_family, config.band_alpha, 0.0)
-            band = _build_band(kind, band_basis, bstats, process_var)
-            band_cov[b] += covers(band, f)
-            band_width[b] += float(np.mean(2.0 * band.half_width))
+            cols.append(np.mean((est.values - f) ** 2, axis=-1))
+        bands = [
+            _build_band(kind, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0), process_var)
+            for kind in config.bands
+        ]
+        cols += [covers(band, f) for band in bands]
+        cols += [np.mean(2.0 * band.half_width, axis=-1) for band in bands]
         if config.oracle_checks:
             ostats = stats_for(config.band_basis_family, config.oracle_alpha, config.oracle_delta)
-            oracle_hits["omega"] += omega_event_check(ostats, oracle_levels, mu_true)
-            oracle_hits["thm1"] += all(oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true))
-            oracle_hits["thm2"] += all(oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true))
-        return errs
+            cols.append(omega_event_check(ostats, oracle_levels, mu_true))
+            cols.append(np.logical_and(*oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true)))
+            cols.append(np.logical_and(*oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true)))
+        return np.array(cols).T
 
-    # one row per estimator, one column per replicate
-    est_errs = np.array(each_replicate(template, config.base_seed, S, bases, replicate)).T
+    # one row per replicate: each estimator's squared error, each band's
+    # hit, each band's width, then the omega, thm1 and thm2 hits
+    rows = np.array(each_replicate(template, config.base_seed, S, bases, chunk))
+    E, B = len(config.estimators), len(config.bands)
+    est_errs = rows[:, :E].T
+    band_cov = rows[:, E:E + B].sum(axis=0)
+    band_width = [_sum_in_order(rows[:, E + B + b]) for b in range(B)]
+    oracle_hits = dict(zip(("omega", "thm1", "thm2"), rows[:, E + 2 * B:].sum(axis=0)))
 
     pass_rates = {}
     provenance = {
@@ -267,7 +272,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     if any(k.startswith("competitor") for k in config.bands):
         provenance["notes"] = [LS_CENTER_NOTE]
     if config.oracle_checks:
-        pass_rates = {tag: hits / S for tag, hits in oracle_hits.items()}
+        pass_rates = {tag: int(hits) / S for tag, hits in oracle_hits.items()}
         thm3_panel = replace(template, seed=int(config.base_seed))
         lhs, rhs, ok = oracle_check_thm3(thm3_panel, S, config.band_basis_family, config.oracle_alpha)
         pass_rates["thm3"] = 1.0 if ok else 0.0
@@ -281,7 +286,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         sqrt_medmse=tuple(float(np.sqrt(np.median(row))) for row in est_errs),
         band_kinds=tuple(config.bands),
         coverage=tuple(int(hits) / S for hits in band_cov),
-        mean_width=tuple(float(width) / S for width in band_width),
+        mean_width=tuple(width / S for width in band_width),
         oracle_pass_rates=pass_rates,
         provenance=provenance,
     )

@@ -8,9 +8,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveband.bands import _build_band
-from curveband.estimator import fit, per_curve_coeffs, pooled_stats
+from curveband.bands import BAND_KINDS, _build_band, covers
+from curveband.estimator import (
+    RULE_MULTIPLIERS,
+    fit,
+    per_curve_coeffs,
+    pooled_stats,
+    theoretical_levels,
+    truncated_target,
+)
 from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid, synthesize
+from curveband.metrics_bench import omega_event_check, oracle_check_thm1, oracle_check_thm2
 from curveband.process_sim import CurvePanel
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -63,3 +71,64 @@ def test_hard_and_soft_keep_the_same_coefficients(family_m, n, alpha, multiplier
     # soft shrinks every kept coefficient toward zero without changing its sign
     assert np.all(np.abs(soft.coeffs) <= np.abs(hard.coeffs))
     assert np.all(soft.coeffs * hard.coeffs >= 0.0)
+
+
+@SETTINGS
+@given(family=st.sampled_from(BASIS_FAMILIES), m=st.sampled_from((2, 8, 16, 64)), n=st.integers(2, 30),
+       chunk=st.integers(1, 4), alpha=st.floats(1e-4, 0.5), delta=st.floats(0.0, 0.2), seed=SEEDS)
+def test_each_slice_of_a_stacked_call_equals_the_single_replicate_call(family, m, n, chunk, alpha, delta, seed):
+    rng = np.random.default_rng(seed)
+    basis = basis_for(family, make_grid(m))
+    mean = rng.normal(scale=rng.uniform(0.0, 3.0), size=m)
+    stack = np.stack([per_curve_coeffs(CurvePanel(mean + rng.normal(size=(n, m))), basis) for _ in range(chunk)])
+    stats = pooled_stats(stack, alpha, delta)
+    singles = [pooled_stats(pc, alpha, delta) for pc in stack]
+
+    def slice_equal(stacked, single):
+        assert stacked.shape == (chunk, *np.shape(single[0]))
+        for r in range(chunk):
+            assert np.array_equal(stacked[r], single[r])
+
+    for name in ("mu_hat", "s_k", "r_hat", "r_tilde"):
+        slice_equal(getattr(stats, name), [getattr(s, name) for s in singles])
+    assert (stats.n, stats.m) == (singles[0].n, singles[0].m) == (n, m)
+    for rule, multipliers in RULE_MULTIPLIERS.items():
+        for k in multipliers:
+            est = fit(rule, stats, basis, k)
+            ones = [fit(rule, s, basis, k) for s in singles]
+            for name in ("coeffs", "active", "values"):
+                slice_equal(getattr(est, name), [getattr(one, name) for one in ones])
+    slice_equal(synthesize(stats.mu_hat, basis), [synthesize(s.mu_hat, basis) for s in singles])
+    levels = rng.uniform(0.0, 2.0 * np.max(np.abs(stats.mu_hat)), m)
+    for got, want in zip(truncated_target(stats.mu_hat, levels, basis),
+                         zip(*(truncated_target(s.mu_hat, levels, basis) for s in singles))):
+        slice_equal(got, want)
+
+    # the first replicate's own spread as the known levels, so omega and the
+    # norm bounds can pass on it and fail on the others
+    theory = theoretical_levels(singles[0].s_k, 0.0, n, alpha, delta)
+    mu_true = singles[0].mu_hat
+    process_var = rng.uniform(0.0, 1.0, m)
+    target = fit("hard", singles[0], basis).values
+    for kind in BAND_KINDS:
+        band = _build_band(kind, basis, stats, process_var)
+        ones = [_build_band(kind, basis, s, process_var) for s in singles]
+        for name in ("center", "half_width", "lower", "upper"):
+            slice_equal(getattr(band, name), [getattr(one, name) for one in ones])
+        slice_equal(covers(band, target), [covers(one, target) for one in ones])
+    slice_equal(omega_event_check(stats, theory, mu_true), [omega_event_check(s, theory, mu_true) for s in singles])
+    for check in (oracle_check_thm1, oracle_check_thm2):
+        got = check(stats, basis, theory, mu_true)
+        ones = [check(s, basis, theory, mu_true) for s in singles]
+        for j in range(2):
+            slice_equal(got[j], [one[j] for one in ones])
+
+    # one replicate keeps its types: bools, a tuple of bools, 1-D arrays
+    one = singles[0]
+    assert type(covers(_build_band("proposed_hard1", basis, one, None), target)) is bool
+    assert type(omega_event_check(one, theory, mu_true)) is bool
+    for check in (oracle_check_thm1, oracle_check_thm2):
+        result = check(one, basis, theory, mu_true)
+        assert type(result) is tuple and [type(x) for x in result] == [bool, bool]
+    assert fit("soft", one, basis).values.shape == one.mu_hat.shape == (m,)
+    assert _build_band("competitor_theoretical", basis, one, process_var).half_width.shape == (m,)
