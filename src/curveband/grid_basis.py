@@ -44,6 +44,12 @@ def check_count(value, minimum: int, message: str):
         raise ValueError(f"{message}, got {value!r}")
 
 
+def check_seed(value, name: str):
+    """Raise ValueError unless value is a whole number >= 0, not a bool: the
+    seed numpy's SeedSequence takes, checked before anything is drawn."""
+    check_count(value, 0, f"{name} must be a whole number >= 0")
+
+
 def check_nonnegative(value, name: str):
     """Raise ValueError unless value is a finite number >= 0; a bool, which
     numpy would take as 0 or 1, is not one."""

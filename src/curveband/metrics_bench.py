@@ -26,7 +26,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count, check_nonnegative
+from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count, check_nonnegative, check_seed
 from .process_sim import (
     PanelConfig,
     eval_signal,
@@ -61,6 +61,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_count(self.replicates, 1, "replicates must be a whole number >= 1")
+        check_seed(self.base_seed, "base_seed")
         if not isinstance(self.oracle_checks, bool):  # bool("false") would be True
             raise ValueError(f"oracle_checks must be True or False, got {self.oracle_checks!r}")
         if self.oracle_checks and self.replicates < 2:

@@ -5,8 +5,8 @@ families (Brownian bridge, Brownian motion, stationary AR(1), and its
 cumulative-sum integration), with calibration of the noise level via the
 process-to-noise variance ratio and of the signal amplitude via a target
 signal-to-noise ratio.  Each family is defined once, by its covariance
-matrix on the grid, which no other module reads: paths and the
-theoretical coefficient variances come from its Cholesky factor.
+matrix on the grid, which no other module reads: panels and the
+theoretical coefficient variances come from its Cholesky factors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, Grid, check_count, check_nonnegative
+from .grid_basis import BasisMatrix, Grid, check_count, check_nonnegative, check_seed
 
 __all__ = [
     "SignalSpec",
@@ -120,6 +120,7 @@ class PanelConfig:
         # n >= 2 so the coefficient sample SD downstream is defined
         check_count(self.n, 2, "panel needs a whole number n >= 2 of curves")
         check_nonnegative(self.noise_sd, "noise_sd")
+        check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +180,18 @@ def covariance_matrix(process: ProcessSpec, grid: Grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _cholesky_t(process: ProcessSpec, grid: Grid) -> np.ndarray:
-    """Read-only transposed Cholesky factor of covariance_matrix(process, grid).
+def _cholesky_t(process: ProcessSpec, noise_sd: float, grid: Grid) -> np.ndarray:
+    """Read-only upper Cholesky factor U of Gamma + noise_sd^2 I, so U^T U is
+    the covariance of one noisy curve; adding 0.0 is exact.
 
-    Every replicate loop draws all of its panels from one (process, grid)
-    pair, so one cached factor serves them all; at m=1024 building and
+    Every replicate loop draws all of its panels from one (process, noise,
+    grid), so one cached factor serves them all; at m=1024 building and
     factorising the covariance costs about five n=200 panels.  Grids
     compare by m, so two grid objects of the same m share the factor.
     """
-    upper = np.linalg.cholesky(covariance_matrix(process, grid)).T
+    cov = covariance_matrix(process, grid)
+    cov.flat[:: grid.m + 1] += noise_sd**2
+    upper = np.linalg.cholesky(cov).T
     upper.setflags(write=False)
     return upper
 
@@ -250,8 +254,9 @@ def calibrate(
     processes first get their innovation matched to the paired Brownian
     variance, so calibrated scenarios differ only in dependence structure.
     """
-    if not (0.0 < sigma_star < np.inf and 0.0 < snr < np.inf):
-        raise ValueError("sigma_star and snr must be finite and positive")
+    for name, value in (("sigma_star", sigma_star), ("snr", snr)):
+        if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     if process.innovation_sd != ProcessSpec.innovation_sd:
         raise ValueError(f"calibrate derives innovation_sd, so it must keep its default, got {process.innovation_sd}")
     process = _match_innovation(process, grid)
@@ -274,17 +279,14 @@ def calibrate(
 def generate_panel(config: PanelConfig) -> CurvePanel:
     """n independent noisy curves; deterministic given the seed.
 
-    One generator per panel draws the n x m standard normals N first and
-    the noise second, and the paths are N L^T with L the Cholesky factor
-    of the process covariance.
+    Each row of Y - f is N(0, Gamma + noise_sd^2 I), a path plus white
+    noise, so one generator draws one n x m standard normal block N and
+    Y = f + N U, with U that covariance's upper Cholesky factor.
     """
     grid = config.grid
     f = eval_signal(config.signal, grid)
     rng = np.random.default_rng(config.seed)
-    shape = (config.n, grid.m)
-    Y = f + rng.standard_normal(shape) @ _cholesky_t(config.process, grid)
-    if config.noise_sd > 0.0:
-        Y += rng.normal(0.0, config.noise_sd, shape)
+    Y = f + rng.standard_normal((config.n, grid.m)) @ _cholesky_t(config.process, config.noise_sd, grid)
     return CurvePanel(Y)
 
 
@@ -302,8 +304,8 @@ def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
 def sigma_k_theoretical(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:
     """Coefficient variances sigma_k^2 = (1/m^2) phi_k' Gamma phi_k.
 
-    With Gamma = L L^T this is |L^T phi_k|^2 / m^2, read from the factor the
-    panels are drawn from, so it is a sum of squares and never negative.
+    With Gamma = L L^T this is |L^T phi_k|^2 / m^2, a sum of squares and
+    never negative; L is built uncached, so one m x m factor stays resident.
     The result is read-only and shared by every caller of the same
     (process, basis object).
     """
@@ -318,7 +320,7 @@ def _cached_sigma_k(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:
     both families.  BasisMatrix hashes by identity, and the key's strong
     reference keeps its id from being reused, so a hand-built basis never
     reads another basis's entry; an entry also keeps its basis alive."""
-    proj = _cholesky_t(process, basis.grid) @ basis.values
+    proj = _cholesky_t.__wrapped__(process, 0.0, basis.grid) @ basis.values
     variances = np.sum(proj**2, axis=0) / basis.m**2
     variances.setflags(write=False)
     return variances

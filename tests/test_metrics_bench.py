@@ -192,6 +192,20 @@ def _scenario(n=30, m=32, S=5, seed=123, bands=(), oracle=False, noise_sd=0.25,
                           replicates=S, base_seed=seed, oracle_checks=oracle)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, "3", -1])
+@pytest.mark.parametrize("where", ["seed", "base_seed"])
+def test_seeds_are_checked_before_anything_is_drawn(where, bad):
+    # numpy would draw with True as seed 1 and fail later on the others
+    with pytest.raises(ValueError, match=rf"^{where} must be a whole number >= 0"):
+        if where == "seed":
+            PanelConfig(n=2, grid=make_grid(4), signal=SignalSpec(), process=ProcessSpec(), noise_sd=0.1, seed=bad)
+        else:
+            _scenario(seed=bad)
+    assert PanelConfig(n=2, grid=make_grid(4), signal=SignalSpec(), process=ProcessSpec(),
+                       noise_sd=0.1, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert _scenario(seed=0).base_seed == 0
+
+
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         _scenario(S=0)

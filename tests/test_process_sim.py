@@ -185,15 +185,49 @@ def test_panel_identical_on_factor_cache_hit_and_miss():
     after = process_sim._cholesky_t.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert np.array_equal(miss, hit)
-    # another grid object of the same m is the same key, and the layout is
-    # f + N L^T + eps from one stream
+    # another grid object of the same m is the same key
     other_grid = generate_panel(replace(cfg, grid=make_grid(32))).Y
     assert process_sim._cholesky_t.cache_info().hits - after.hits == 1
-    rng = np.random.default_rng(8)
-    L = np.linalg.cholesky(covariance_matrix(cfg.process, g))
-    expected = eval_signal(cfg.signal, g) + rng.standard_normal((6, 32)) @ L.T + rng.normal(0.0, 0.2, (6, 32))
     assert np.array_equal(other_grid, miss)
+    # the noise level is part of the key, and the layout is f + N L^T with
+    # L L^T = Gamma + noise_sd^2 I, from one block of one stream
+    generate_panel(replace(cfg, noise_sd=0.3))
+    assert process_sim._cholesky_t.cache_info().misses - after.misses == 1
+    rng = np.random.default_rng(8)
+    L = np.linalg.cholesky(covariance_matrix(cfg.process, g) + 0.2**2 * np.eye(32))
+    expected = eval_signal(cfg.signal, g) + rng.standard_normal((6, 32)) @ L.T
     assert np.array_equal(expected, miss)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
+def test_panel_factor_is_the_noisy_covariance(kind, m):
+    g = make_grid(m)
+    p = _process(kind)
+    U = process_sim._cholesky_t(p, 0.3, g)
+    target = covariance_matrix(p, g) + 0.3**2 * np.eye(m)
+    assert np.array_equal(U, np.triu(U)) and not U.flags.writeable
+    assert np.max(np.abs(U.T @ U - target)) <= 1e-12 * np.max(np.abs(target))
+
+
+@pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
+def test_zero_noise_panel_is_signal_plus_process_paths(kind):
+    g = make_grid(16)
+    cfg = PanelConfig(n=7, grid=g, signal=SignalSpec(), process=_process(kind), noise_sd=0.0, seed=11)
+    L = np.linalg.cholesky(covariance_matrix(cfg.process, g))
+    expected = eval_signal(cfg.signal, g) + np.random.default_rng(11).standard_normal((7, 16)) @ L.T
+    assert np.array_equal(generate_panel(cfg).Y, expected)
+
+
+@pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
+def test_panel_covariance_is_process_plus_noise(kind):
+    g, n, noise_sd = make_grid(8), 20000, 0.3
+    cfg = PanelConfig(n=n, grid=g, signal=SignalSpec(), process=_process(kind), noise_sd=noise_sd, seed=17)
+    emp = np.cov(generate_panel(cfg).Y - eval_signal(cfg.signal, g), rowvar=False)
+    target = _closed_form_covariance(cfg.process, g) + noise_sd**2 * np.eye(8)
+    # gaussian MC-SE of each sample covariance entry
+    se = np.sqrt((target**2 + np.outer(np.diag(target), np.diag(target))) / n)
+    assert np.all(np.abs(emp - target) < 4.0 * se)
 
 
 @pytest.mark.parametrize("kind", ["ar1", "arima11"])
@@ -263,6 +297,12 @@ def test_calibrate_rejects_zero_range():
         calibrate(ProcessSpec(kind="bb"), g, 1.0, 2.0, SignalSpec(kind="signal1", c1=0.0, c2=0.0))
     with pytest.raises(ValueError):
         calibrate(ProcessSpec(kind="bb"), g, -1.0, 2.0, SignalSpec())
+    # a bool would run as 1
+    for bad in [True, np.True_]:
+        with pytest.raises(ValueError, match="sigma_star"):
+            calibrate(ProcessSpec(kind="bb"), g, bad, 2.0, SignalSpec())
+        with pytest.raises(ValueError, match="snr"):
+            calibrate(ProcessSpec(kind="bb"), g, 1.0, bad, SignalSpec())
     for bad in [np.nan, np.inf]:
         with pytest.raises(ValueError):
             calibrate(ProcessSpec(kind="bb"), g, bad, 2.0, SignalSpec())
