@@ -25,7 +25,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BasisMatrix, analyze, basis_for, check_nonnegative, matvec
+from .grid_basis import BasisMatrix, analyze, basis_for, check_count, check_nonnegative, check_open, matvec
 from .process_sim import (
     PanelConfig,
     eval_signal,
@@ -229,9 +229,9 @@ def coverage_experiment(
         raise ValueError(f"unknown band kind {band_kind!r}")
     if target_kind not in ("true_mean", "truncated_target"):
         raise ValueError(f"unknown target kind {target_kind!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    check_open(alpha, "alpha", 0, 1)
     check_nonnegative(delta, "delta")
+    check_count(S, "S", 1)
     if band_kind in COMPETITOR_KINDS and target_kind == "true_mean" and delta != 0.0:
         raise ValueError(f"delta would be ignored: {band_kind} reads only alpha, and the true mean no level")
     basis = basis_for(basis_family, scenario.grid)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, analyze, check_nonnegative, synthesize
+from .grid_basis import BasisMatrix, analyze, check_count, check_nonnegative, check_open, synthesize
 from .process_sim import CurvePanel, SignalSpec, eval_signal
 
 __all__ = [
@@ -87,8 +87,7 @@ class MeanEstimate:
 
 def normal_quantile(p: float) -> float:
     """Upper-tail standard normal quantile: P(N(0,1) > z) = p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"tail probability must be in (0,1), got {p}")
+    check_open(p, "p", 0, 1)
     # negating the lower-tail quantile keeps full relative accuracy for
     # small p, where inv_cdf(1 - p) would lose digits to the subtraction
     return -statistics.NormalDist().inv_cdf(p)
@@ -108,10 +107,8 @@ def pooled_stats(per_curve: np.ndarray, alpha: float, delta: float = 0.0) -> Coe
     if pc.ndim < 2:
         raise ValueError("per-curve coefficients must be an n x m matrix")
     n, m = pc.shape[-2:]
-    if n < 2:
-        raise ValueError("need n >= 2 curves for the coefficient sample SD")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    check_count(n, "n", 2)  # for the coefficient sample SD
+    check_open(alpha, "alpha", 0, 1)
     check_nonnegative(delta, "delta")
     mu_hat = pc.mean(axis=-2)
     s_k = pc.std(axis=-2, ddof=1)
@@ -140,10 +137,8 @@ def theoretical_levels(
         raise ValueError("sigma_k must be finite and nonnegative")
     check_nonnegative(sigma_eps, "sigma_eps")
     check_nonnegative(delta, "delta")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not n >= 1:
-        raise ValueError(f"levels need n >= 1 curves, got {n}")
+    check_open(alpha, "alpha", 0, 1)
+    check_count(n, "n", 1)
     z = normal_quantile(alpha / (2.0 * m))
     r_k = np.sqrt((sk**2 + sigma_eps**2 / m) / n) * z
     r_bar = r_k + 2.0 * delta * z / np.sqrt(n)

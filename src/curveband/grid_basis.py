@@ -9,6 +9,7 @@ plain matrix product and keeps round trips lossless.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,27 +35,36 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
-def check_count(value, minimum: int, message: str):
-    """Raise ValueError(message) unless value is a whole number >= minimum.
-
-    Python and NumPy integers pass; a float such as 4.0 would fail only
-    later, inside numpy, and a bool would run as 0 or 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{message}, got {value!r}")
+# The checks every public entry point runs on its numbers.  Each raises a
+# ValueError naming the parameter and never converts a value.  A bool, which
+# numpy takes as 0 or 1, or a string is no number, and 4.0 no whole number or seed.
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
-def check_seed(value, name: str):
-    """Raise ValueError unless value is a whole number >= 0, not a bool: the
-    seed numpy's SeedSequence takes, checked before anything is drawn."""
-    check_count(value, 0, f"{name} must be a whole number >= 0")
+def _is_whole(value, minimum: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
+
+
+def check_open(value, name: str, lo: float, hi: float):
+    """lo < value < hi, never NaN: (0, inf) is a finite positive real, (-inf, inf) any finite real."""
+    if not (_is_real(value) and lo < value < hi):
+        raise ValueError(f"{name} must be in ({lo:g},{hi:g}), got {value!r}")
 
 
 def check_nonnegative(value, name: str):
-    """Raise ValueError unless value is a finite number >= 0; a bool, which
-    numpy would take as 0 or 1, is not one."""
-    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not (_is_real(value) and 0.0 <= value < np.inf):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def check_count(value, name: str, minimum: int):
+    if not _is_whole(value, minimum):
+        raise ValueError(f"need a whole number {name} >= {minimum}, got {value!r}")
+
+
+def check_seed(value, name: str):
+    if not _is_whole(value, 0):
+        raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,7 @@ class Grid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_count(self.m, 2, "grid needs a whole number m >= 2")
+        check_count(self.m, "m", 2)
         object.__setattr__(self, "points", _frozen_array((np.arange(1, self.m + 1) - 0.5) / self.m))
 
 

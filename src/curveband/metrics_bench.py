@@ -26,7 +26,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count, check_nonnegative, check_seed
+from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count, check_nonnegative, check_open, check_seed
 from .process_sim import (
     PanelConfig,
     eval_signal,
@@ -34,6 +34,7 @@ from .process_sim import (
     replicate_configs,
     sigma_k_theoretical,
 )
+from .selector import CandidateSpec
 
 __all__ = [
     "ScenarioConfig",
@@ -60,24 +61,22 @@ class ScenarioConfig:
     oracle_delta: float = 0.01
 
     def __post_init__(self):
-        check_count(self.replicates, 1, "replicates must be a whole number >= 1")
+        check_count(self.replicates, "replicates", 1)
         check_seed(self.base_seed, "base_seed")
         if not isinstance(self.oracle_checks, bool):  # bool("false") would be True
             raise ValueError(f"oracle_checks must be True or False, got {self.oracle_checks!r}")
         if self.oracle_checks and self.replicates < 2:
             raise ValueError("oracle checks need replicates >= 2 for thm3's MC standard error")
-        if not self.estimators:
-            raise ValueError("estimator list is empty")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.estimators or not all(isinstance(c, CandidateSpec) for c in self.estimators):
+            raise ValueError(f"estimators must be a nonempty tuple of CandidateSpecs, got {self.estimators!r}")
+        if not isinstance(self.bands, (tuple, list)) or not all(kind in BAND_KINDS for kind in self.bands):
+            raise ValueError(f"bands must be a tuple of kinds from {BAND_KINDS}, got {self.bands!r}")
         object.__setattr__(self, "bands", tuple(self.bands))
-        for kind in self.bands:
-            if kind not in BAND_KINDS:
-                raise ValueError(f"unknown band kind {kind!r}")
         if self.band_basis_family not in BASIS_FAMILIES:
             raise ValueError(f"unknown basis family {self.band_basis_family!r}")
-        for name in ("band_alpha", "oracle_alpha"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in (0,1), got {getattr(self, name)}")
+        check_open(self.band_alpha, "band_alpha", 0, 1)
+        check_open(self.oracle_alpha, "oracle_alpha", 0, 1)
         check_nonnegative(self.oracle_delta, "oracle_delta")
 
 
@@ -173,7 +172,7 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     known, not estimated) and is compared to the truncated target.  Returns
     (lhs_mc, rhs_bound, ok) where ok allows three MC standard errors.
     """
-    check_count(S, 2, "need a whole number S >= 2 of replicates for an MC standard error")
+    check_count(S, "S", 2)  # for thm3's MC standard error
     basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     mu = analyze(f, basis)

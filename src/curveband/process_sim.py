@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid_basis import BasisMatrix, Grid, check_count, check_nonnegative, check_seed
+from .grid_basis import BasisMatrix, Grid, check_count, check_nonnegative, check_open, check_seed
 
 __all__ = [
     "SignalSpec",
@@ -77,13 +77,11 @@ class SignalSpec:
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         for name in ("c1", "c2", "c3"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"signal amplitude {name} must be finite")
+            check_open(getattr(self, name), name, -np.inf, np.inf)
         if self.custom_values is not None:
-            values = tuple(float(v) for v in self.custom_values)
-            if not np.all(np.isfinite(values)):
-                raise ValueError("custom_values must be finite")
-            object.__setattr__(self, "custom_values", values)
+            for v in self.custom_values:
+                check_open(v, "custom_values", -np.inf, np.inf)
+            object.__setattr__(self, "custom_values", tuple(float(v) for v in self.custom_values))
         elif self.kind == "custom":
             raise ValueError("custom signal needs custom_values")
         _check_unread_at_default(self, "signal")
@@ -100,10 +98,8 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}")
-        if not -1.0 < self.ar_phi < 1.0:
-            raise ValueError(f"ar_phi must be in (-1,1), got {self.ar_phi}")
-        if not self.innovation_sd > 0.0:
-            raise ValueError("innovation_sd must be positive")
+        check_open(self.ar_phi, "ar_phi", -1, 1)
+        check_open(self.innovation_sd, "innovation_sd", 0, np.inf)
         _check_unread_at_default(self, "process")
 
 
@@ -118,7 +114,7 @@ class PanelConfig:
 
     def __post_init__(self):
         # n >= 2 so the coefficient sample SD downstream is defined
-        check_count(self.n, 2, "panel needs a whole number n >= 2 of curves")
+        check_count(self.n, "n", 2)
         check_nonnegative(self.noise_sd, "noise_sd")
         check_seed(self.seed, "seed")
 
@@ -254,9 +250,8 @@ def calibrate(
     processes first get their innovation matched to the paired Brownian
     variance, so calibrated scenarios differ only in dependence structure.
     """
-    for name, value in (("sigma_star", sigma_star), ("snr", snr)):
-        if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    check_open(sigma_star, "sigma_star", 0, np.inf)
+    check_open(snr, "snr", 0, np.inf)
     if process.innovation_sd != ProcessSpec.innovation_sd:
         raise ValueError(f"calibrate derives innovation_sd, so it must keep its default, got {process.innovation_sd}")
     process = _match_innovation(process, grid)
@@ -296,7 +291,8 @@ def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
     bands.each_replicate draws every replicated experiment's panels from
     this list, so a replicate can be rerun alone from the panel seed quoted.
     """
-    check_count(S, 1, "need a whole number S >= 1 of replicates")
+    check_count(S, "S", 1)
+    check_seed(base_seed, "base_seed")
     seeds = np.random.SeedSequence(base_seed).generate_state(S, dtype=np.uint64)
     return [replace(template, seed=int(seed)) for seed in seeds]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import check_rule, fit, pooled_stats
-from .grid_basis import BASIS_FAMILIES, basis_for
+from .grid_basis import BASIS_FAMILIES, basis_for, check_open, check_seed
 from .process_sim import CurvePanel
 
 __all__ = ["CandidateSpec", "SelectionResult", "split_panel", "empirical_risk", "select"]
@@ -30,8 +30,7 @@ class CandidateSpec:
         if self.basis_family not in BASIS_FAMILIES:
             raise ValueError(f"unknown basis family {self.basis_family!r}")
         check_rule(self.rule, self.multiplier)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        check_open(self.alpha, "alpha", 0, 1)
 
     def label(self) -> str:
         if self.rule == "least_squares":
@@ -54,6 +53,7 @@ class SelectionResult:
 
 def split_panel(panel: CurvePanel, seed: int):
     """Random half split; with odd n the fitting half gets the extra curve."""
+    check_seed(seed, "seed")
     n = panel.n
     if n < 4:
         raise ValueError(f"split needs n >= 4 so both halves can hold >= 2 curves, got {n}")

@@ -267,25 +267,6 @@ def test_coverage_experiment_rejects_a_delta_nothing_reads():
     assert coverage_experiment(cfg, "proposed_hard1", S=2, delta=0.5).replicates == 2
 
 
-def test_coverage_experiment_checks_alpha_and_delta_before_drawing(monkeypatch):
-    # a bad level is the call's fault, not a replicate's: it is rejected
-    # before any panel is drawn
-    g = make_grid(16)
-    cfg = PanelConfig(n=10, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
-                      noise_sd=0.1, seed=1)
-
-    def no_draw(config):
-        raise AssertionError("drew a panel")
-
-    monkeypatch.setattr(bands, "generate_panel", no_draw)
-    for alpha in (1.5, 0.0, True, np.True_, float("nan")):
-        with pytest.raises(ValueError, match="alpha must be in"):
-            coverage_experiment(cfg, "proposed_hard1", S=2, alpha=alpha)
-    for delta in (float("nan"), -1.0, float("inf"), True):
-        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
-            coverage_experiment(cfg, "proposed_hard1", S=2, delta=delta)
-
-
 def test_coverage_experiment_failure_carries_replicate_seed(monkeypatch):
     g = make_grid(8)
     cfg = PanelConfig(n=4, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),

@@ -433,6 +433,16 @@ def test_select_rejects_alpha_with_scenario(tmp_path, capsys):
     assert "alpha" not in config and config["scenario"] == str(scen)
 
 
+def test_select_names_a_bad_split_seed(tmp_path, capsys):
+    # numpy's own message, "expected non-negative integer", named no flag
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    out = tmp_path / "sel.json"
+    assert _run("select", "--panel", ppath, "--seed", -1, "--out", out) == 1
+    assert "error: seed must be a whole number >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_rejects_signal_and_process_blocks_that_are_not_objects(tmp_path, capsys):
     # select builds no panel from the scenario, so it once let these pass
     ppath = tmp_path / "p.csv"

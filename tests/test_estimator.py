@@ -98,9 +98,6 @@ def test_pooled_validation():
         pooled_stats(np.zeros((3, 4)), alpha=1.5)
     with pytest.raises(ValueError):
         pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=-0.1)
-    for bad in [np.nan, np.inf, True, np.True_]:
-        with pytest.raises(ValueError, match="delta"):
-            pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=bad)
 
 
 def test_normal_quantile_known_values():
@@ -136,16 +133,8 @@ def test_theoretical_levels_rejects_nan_and_inf():
     good = dict(sigma_k=np.full(4, 0.1), sigma_eps=0.2, n=10, alpha=0.05, delta=0.01)
     theoretical_levels(**good)
     for bad in [np.nan, np.inf, -0.1]:
-        for name in ["sigma_eps", "delta"]:
-            with pytest.raises(ValueError):
-                theoretical_levels(**{**good, name: bad})
         with pytest.raises(ValueError):
             theoretical_levels(**{**good, "sigma_k": np.array([0.1, bad, 0.1, 0.1])})
-    # numpy would take a bool as 0 or 1
-    for bad in [True, np.True_]:
-        for name in ["sigma_eps", "delta"]:
-            with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
-                theoretical_levels(**{**good, name: bad})
     # m is the length of sigma_k, so it must be a non-empty vector
     for bad in [np.zeros(0), np.full((2, 2), 0.1)]:
         with pytest.raises(ValueError, match="non-empty vector"):

@@ -52,9 +52,6 @@ def test_custom_signal_roundtrip_and_mismatch():
     assert_allclose(eval_signal(SignalSpec(kind="custom", custom_values=vals), g), vals)
     with pytest.raises(ValueError):
         eval_signal(SignalSpec(kind="custom", custom_values=(1.0, 2.0)), g)
-    for bad in [np.nan, np.inf]:
-        with pytest.raises(ValueError, match="custom_values"):
-            SignalSpec(kind="custom", custom_values=(1.0, bad))
 
 
 def test_process_spec_validation():
@@ -297,17 +294,6 @@ def test_calibrate_rejects_zero_range():
         calibrate(ProcessSpec(kind="bb"), g, 1.0, 2.0, SignalSpec(kind="signal1", c1=0.0, c2=0.0))
     with pytest.raises(ValueError):
         calibrate(ProcessSpec(kind="bb"), g, -1.0, 2.0, SignalSpec())
-    # a bool would run as 1
-    for bad in [True, np.True_]:
-        with pytest.raises(ValueError, match="sigma_star"):
-            calibrate(ProcessSpec(kind="bb"), g, bad, 2.0, SignalSpec())
-        with pytest.raises(ValueError, match="snr"):
-            calibrate(ProcessSpec(kind="bb"), g, 1.0, bad, SignalSpec())
-    for bad in [np.nan, np.inf]:
-        with pytest.raises(ValueError):
-            calibrate(ProcessSpec(kind="bb"), g, bad, 2.0, SignalSpec())
-        with pytest.raises(ValueError):
-            calibrate(ProcessSpec(kind="bb"), g, 1.0, bad, SignalSpec())
 
 
 def test_generate_panel_degenerate_rows_equal_signal():
@@ -342,16 +328,8 @@ def test_generate_panel_clt_band():
 
 def test_panel_config_and_panel_validation():
     g = make_grid(4)
-    # a float or bool n would otherwise fail later, inside numpy
-    for bad in [1, 2.5, 3.0, True]:
-        with pytest.raises(ValueError, match="n >= 2"):
-            PanelConfig(n=bad, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=0.1, seed=0)
     assert PanelConfig(n=np.int64(3), grid=g, signal=SignalSpec(), process=ProcessSpec(),
                        noise_sd=0.1, seed=0).n == 3
-    # a bool noise_sd would run as 0 or 1
-    for bad in [np.nan, np.inf, -0.1, True, np.True_]:
-        with pytest.raises(ValueError, match="noise_sd"):
-            PanelConfig(n=2, grid=g, signal=SignalSpec(), process=ProcessSpec(), noise_sd=bad, seed=0)
     # the grid is the width of Y: a vector has none, and one column is too few
     assert CurvePanel(Y=np.ones((2, 3))).grid == make_grid(3)
     with pytest.raises(ValueError):
