@@ -18,9 +18,11 @@ import numpy as np
 
 from .estimator import (
     CoefficientStats,
+    PooledCoefficients,
     fit,
     normal_quantile,
     per_curve_coeffs,
+    pool,
     pooled_stats,
     theoretical_levels,
     truncated_target,
@@ -56,10 +58,6 @@ COMPETITOR_KINDS = ("competitor_theoretical", "competitor_sample_var")
 BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", *COMPETITOR_KINDS)
 
 LS_CENTER_NOTE = "competitor bands centered at the pooled least-squares mean (kernel smoothing out of scope)"
-
-# Bytes of one basis family's stacked coefficients per chunk of replicates:
-# glibc's default mmap threshold, so a chunk's stack stays on the heap.
-_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +116,13 @@ def verdict(hits: np.ndarray):
     return bool(hits) if hits.ndim == 0 else hits
 
 
-def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_var=None) -> ConfidenceBand:
+def curve_variance(per_curve: np.ndarray, basis: BasisMatrix) -> np.ndarray:
+    """competitor_sample_var's V: the sample variance across the curves
+    rebuilt from an n x m matrix of per-curve coefficients, at each grid point."""
+    return (per_curve @ basis.values.T).var(axis=-2, ddof=1)
+
+
+def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance=None) -> ConfidenceBand:
     """One band of the given kind from the pooled stats, at their alpha.
 
     Proposed kinds center at their rule's multiplier-1 estimate, with
@@ -127,10 +131,9 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
     hard estimate and sums r_hat_k |phi_k(t_j)| over every coefficient.
     The competitor kinds center at the least-squares mean, with
     half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
-    Bonferroni: V is process_var, the known pointwise process variance, for
-    competitor_theoretical, and the sample variance across the
-    reconstructed curves for competitor_sample_var.  Stacked stats give a
-    stacked band, one row per replicate.
+    Bonferroni: V, given by the caller, is the known process variance for
+    competitor_theoretical and the curve_variance for competitor_sample_var.
+    Stacked stats (and V) give a stacked band, one row per replicate.
     """
     if kind in _PROPOSED_BANDS:
         rule, width = _PROPOSED_BANDS[kind]
@@ -141,15 +144,12 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
         half = matvec(np.abs(basis.values), stats.r_hat)
     elif kind in COMPETITOR_KINDS:
         rule = "least_squares"
-        if kind == "competitor_theoretical":
-            v = np.asarray(process_var, dtype=float)
-            if v.shape != (basis.m,):
-                raise ValueError(f"variance function must have length {basis.m}")
-            if np.any(v < 0.0):
-                raise ValueError("variance function must be nonnegative")
-            v = np.broadcast_to(v, stats.mu_hat.shape)
-        else:
-            v = (stats.per_curve @ basis.values.T).var(axis=-2, ddof=1)
+        v = np.asarray(variance, dtype=float)
+        if v.shape[-1:] != (basis.m,):
+            raise ValueError(f"variance function must have length {basis.m}")
+        if np.any(v < 0.0):
+            raise ValueError("variance function must be nonnegative")
+        v = np.broadcast_to(v, stats.mu_hat.shape)
         half = np.sqrt(v / stats.n) * normal_quantile(stats.alpha / (2.0 * basis.m))
     else:
         raise ValueError(f"unknown band kind {kind!r}")
@@ -157,42 +157,41 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, process_
     return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
 
-def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body) -> list:
-    """The results of body over S replicates, in seed order.
+def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, var_family=None):
+    """What body makes of S replicates, stacked in seed order.
 
     Replicate s simulates template at the s-th replicate_configs seed and
-    analyses its panel once per family in bases.  body takes a chunk of c
-    consecutive replicates, as each family mapped to its (c, n, m) stack of
-    per-curve coefficients, and returns c results.  A chunk holds as many
-    replicates as keep one family's stack within _CHUNK_BYTES, and at least
-    one.  A failure names the replicate and its panel seed, from which that
-    panel replays alone; a chunk whose body raises is rerun one replicate
-    at a time to find it.
+    pools its coefficients once per family in bases (keeping curve_variance
+    for var_family alone), so one replicate's n x m arrays are held at a
+    time.  body is called once, with each family mapped to its
+    PooledCoefficients over all S replicates.  A failure names the replicate
+    and its panel seed, from which that panel replays alone; a body that
+    raises is rerun one replicate at a time to find it.
     """
     configs = replicate_configs(template, base_seed, S)
-    size = max(1, _CHUNK_BYTES // (8 * template.n * template.grid.m))
-    out = []
-    for start in range(0, S, size):
-        chunk = list(enumerate(configs[start:start + size], start))
-        coeffs = {fam: [] for fam in bases}
-        for s, cfg in chunk:
+    kept = {fam: [] for fam in bases}
+    for s, cfg in enumerate(configs):
+        try:
+            panel = generate_panel(cfg)
+            for fam, basis in bases.items():
+                pc = per_curve_coeffs(panel, basis)
+                p = pool(pc)
+                kept[fam].append((p.mu_hat, p.s_k) + ((curve_variance(pc, basis),) if fam == var_family else ()))
+        except Exception as exc:
+            raise _failure(s, cfg, exc) from exc
+
+    def stacked(rows: slice) -> dict:
+        return {fam: PooledCoefficients(template.n, *map(np.array, zip(*kept[fam][rows]))) for fam in bases}
+
+    try:
+        return body(stacked(slice(None)))
+    except Exception:
+        for s, cfg in enumerate(configs):
             try:
-                panel = generate_panel(cfg)
-                for fam, basis in bases.items():
-                    coeffs[fam].append(per_curve_coeffs(panel, basis))
+                body(stacked(slice(s, s + 1)))
             except Exception as exc:
                 raise _failure(s, cfg, exc) from exc
-        # one replicate stacks as a view, without copying its n x m arrays
-        stacks = {fam: cs[0][None] if len(cs) == 1 else np.array(cs) for fam, cs in coeffs.items()}
-        try:
-            out.extend(body(stacks))
-        except Exception:
-            for r, (s, cfg) in enumerate(chunk):
-                try:
-                    out.extend(body({fam: stack[r:r + 1] for fam, stack in stacks.items()}))
-                except Exception as exc:
-                    raise _failure(s, cfg, exc) from exc
-    return out
+        raise
 
 
 def _failure(s: int, cfg: PanelConfig, exc: Exception) -> RuntimeError:
@@ -243,19 +242,18 @@ def coverage_experiment(
         levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha, delta)
         mu = analyze(f, basis)
         _, target = truncated_target(mu, 2.0 * levels.r_bar, basis)
-    process_var = None
-    if band_kind == "competitor_theoretical":
-        process_var = process_variance(scenario.process, scenario.grid)
+    process_var = process_variance(scenario.process, scenario.grid) if band_kind == "competitor_theoretical" else None
+    sample_var = band_kind == "competitor_sample_var"
 
-    def score(coeffs):
-        stats = pooled_stats(coeffs[basis_family], alpha, delta)
-        band = _build_band(band_kind, basis, stats, process_var)
-        return np.array([covers(band, target), np.mean(2.0 * band.half_width, axis=-1)]).T
+    def score(pooled):
+        p = pooled[basis_family]
+        return _build_band(band_kind, basis, pooled_stats(p, alpha, delta), p.curve_var if sample_var else process_var)
 
-    # one row per replicate: hit, width
-    rows = np.array(each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score))
-    covered = int(rows[:, 0].sum())
-    width_sum = _sum_in_order(rows[:, 1])
+    # the band of every replicate, one row each in seed order
+    band = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score,
+                          var_family=basis_family if sample_var else None)
+    covered = int(np.sum(covers(band, target)))
+    width_sum = _sum_in_order(np.mean(2.0 * band.half_width, axis=-1))
     notes = (LS_CENTER_NOTE,) if band_kind.startswith("competitor") else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=width_sum / S,

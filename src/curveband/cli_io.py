@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band
+from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band, curve_variance
 from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
 from .grid_basis import BASIS_FAMILIES, basis_for, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
@@ -307,16 +307,17 @@ def cmd_band(args) -> int:
     delta = 0.0 if args.delta is None else args.delta
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
-    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, delta)
-    process_var = None
+    per_curve = per_curve_coeffs(panel, basis)
+    stats = pooled_stats(per_curve, args.alpha, delta)
+    variance = curve_variance(per_curve, basis) if args.kind == "competitor_sample_var" else None
     if args.kind == "competitor_theoretical":
         if not args.scenario:
             raise ValueError("competitor_theoretical needs --scenario for the process covariance")
         cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"])
         if cfg.grid != panel.grid:
             raise ValueError("scenario grid size does not match the stored panel")
-        process_var = process_variance(cfg.process, panel.grid)
-    band = _build_band(args.kind, basis, stats, process_var)
+        variance = process_variance(cfg.process, panel.grid)
+    band = _build_band(args.kind, basis, stats, variance)
     j = np.arange(1, basis.m + 1)
     _write_table_csv(
         args.out,

@@ -11,6 +11,7 @@ and the truncated-target machinery.
 from __future__ import annotations
 
 import statistics
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,13 @@ from .process_sim import CurvePanel, SignalSpec, eval_signal
 
 __all__ = [
     "CoefficientStats",
+    "PooledCoefficients",
     "TheoreticalLevels",
     "MeanEstimate",
     "SparsityReport",
     "normal_quantile",
     "per_curve_coeffs",
+    "pool",
     "pooled_stats",
     "theoretical_levels",
     "fit",
@@ -38,25 +41,24 @@ RULE_MULTIPLIERS = {"hard": (1, 2), "soft": (1, 2), "least_squares": (1,)}
 RULES = tuple(RULE_MULTIPLIERS)
 
 
+# Each basis coefficient's mean and SD over n curves: length-m vectors, or
+# (S, m) stacks with one row per replicate.  curve_var, where kept, is the
+# sample variance of the n reconstructed curves at each grid point.
+PooledCoefficients = namedtuple("PooledCoefficients", "n mu_hat s_k curve_var", defaults=(None,))
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientStats:
-    """Pooled and per-curve coefficients with their data-driven levels.
-
-    per_curve is n x m, or a (..., n, m) stack of replicates; every other
-    array then carries the same leading axes.
-    """
+    """Pooled coefficients of n curves and their data-driven levels: length-m
+    vectors, or stacks with one row per replicate."""
 
     mu_hat: np.ndarray
-    per_curve: np.ndarray
+    n: int
     s_k: np.ndarray
     alpha: float
     delta: float
     r_hat: np.ndarray
     r_tilde: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.per_curve.shape[-2]
 
     @property
     def m(self) -> int:
@@ -100,25 +102,27 @@ def per_curve_coeffs(panel: CurvePanel, basis: BasisMatrix) -> np.ndarray:
     return panel.Y @ basis.values / basis.m
 
 
-def pooled_stats(per_curve: np.ndarray, alpha: float, delta: float = 0.0) -> CoefficientStats:
-    """Pool an n x m matrix of per-curve coefficients over its curves, or
-    each matrix of a (..., n, m) stack; each slice pools as it would alone."""
+def pool(per_curve: np.ndarray) -> PooledCoefficients:
+    """Mean and SD over the curves of an n x m matrix of per-curve
+    coefficients, or of each matrix of a (..., n, m) stack."""
     pc = np.asarray(per_curve, dtype=float)
     if pc.ndim < 2:
         raise ValueError("per-curve coefficients must be an n x m matrix")
-    n, m = pc.shape[-2:]
-    check_count(n, "n", 2)  # for the coefficient sample SD
+    check_count(pc.shape[-2], "n", 2)  # for the coefficient sample SD
+    return PooledCoefficients(pc.shape[-2], pc.mean(axis=-2), pc.std(axis=-2, ddof=1))
+
+
+def pooled_stats(per_curve, alpha: float, delta: float = 0.0) -> CoefficientStats:
+    """The data-driven levels of per-curve coefficients, pooled here by
+    pool() or already pooled; each row of a stack pools as it would alone."""
+    p = per_curve if isinstance(per_curve, PooledCoefficients) else pool(per_curve)
+    check_count(p.n, "n", 2)
     check_open(alpha, "alpha", 0, 1)
     check_nonnegative(delta, "delta")
-    mu_hat = pc.mean(axis=-2)
-    s_k = pc.std(axis=-2, ddof=1)
-    z = normal_quantile(alpha / (2.0 * m))
-    r_hat = (s_k + delta) * z / np.sqrt(n)
-    r_tilde = (s_k + 3.0 * delta) * z / np.sqrt(n)
-    return CoefficientStats(
-        mu_hat=mu_hat, per_curve=pc, s_k=s_k, alpha=alpha, delta=delta,
-        r_hat=r_hat, r_tilde=r_tilde,
-    )
+    z = normal_quantile(alpha / (2.0 * p.mu_hat.shape[-1]))
+    r_hat = (p.s_k + delta) * z / np.sqrt(p.n)
+    r_tilde = (p.s_k + 3.0 * delta) * z / np.sqrt(p.n)
+    return CoefficientStats(mu_hat=p.mu_hat, n=p.n, s_k=p.s_k, alpha=alpha, delta=delta, r_hat=r_hat, r_tilde=r_tilde)
 
 
 def theoretical_levels(

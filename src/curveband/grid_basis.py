@@ -67,6 +67,11 @@ def check_seed(value, name: str):
         raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
 
 
+def check_family(value, name: str):
+    if not (isinstance(value, str) and value in BASIS_FAMILIES):
+        raise ValueError(f"{name} must be one of {BASIS_FAMILIES}: unknown basis family {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Midpoint design on (0,1): points[j-1] = (j - 1/2)/m.  m fixes the
@@ -154,8 +159,7 @@ def basis_for(family: str, grid: Grid) -> BasisMatrix:
     Every caller of a (family, m) pair shares one read-only BasisMatrix, so
     repeated experiments in one process build none after the first.
     """
-    if not isinstance(family, str) or family not in BASIS_FAMILIES:
-        raise ValueError(f"unknown basis family {family!r}; choose from {BASIS_FAMILIES}")
+    check_family(family, "family")
     return _cached_basis(family, grid)
 
 

@@ -26,7 +26,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BASIS_FAMILIES, analyze, basis_for, check_count, check_nonnegative, check_open, check_seed
+from .grid_basis import analyze, basis_for, check_count, check_family, check_nonnegative, check_open, check_seed
 from .process_sim import (
     PanelConfig,
     eval_signal,
@@ -73,8 +73,7 @@ class ScenarioConfig:
         if not isinstance(self.bands, (tuple, list)) or not all(kind in BAND_KINDS for kind in self.bands):
             raise ValueError(f"bands must be a tuple of kinds from {BAND_KINDS}, got {self.bands!r}")
         object.__setattr__(self, "bands", tuple(self.bands))
-        if self.band_basis_family not in BASIS_FAMILIES:
-            raise ValueError(f"unknown basis family {self.band_basis_family!r}")
+        check_family(self.band_basis_family, "band_basis_family")
         check_open(self.band_alpha, "band_alpha", 0, 1)
         check_open(self.oracle_alpha, "oracle_alpha", 0, 1)
         check_nonnegative(self.oracle_delta, "oracle_delta")
@@ -173,6 +172,7 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     (lhs_mc, rhs_bound, ok) where ok allows three MC standard errors.
     """
     check_count(S, "S", 2)  # for thm3's MC standard error
+    check_open(alpha, "alpha", 0, 1)
     basis = basis_for(basis_family, scenario.grid)
     f = eval_signal(scenario.signal, scenario.grid)
     mu = analyze(f, basis)
@@ -180,11 +180,11 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha)
     _, target = truncated_target(mu, levels.r_k, basis)
 
-    def sq_error(coeffs):
-        _, values = truncated_target(coeffs[basis_family].mean(axis=-2), 2.0 * levels.r_k, basis)
+    def sq_error(pooled):
+        _, values = truncated_target(pooled[basis_family].mu_hat, 2.0 * levels.r_k, basis)
         return np.mean((values - target) ** 2, axis=-1)
 
-    errs = np.array(each_replicate(scenario, scenario.seed, S, {basis_family: basis}, sq_error))
+    errs = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, sq_error)
     lhs = float(np.mean(errs))
     se = float(np.std(errs, ddof=1) / np.sqrt(S))
     n, m = scenario.n, basis.m
@@ -219,41 +219,35 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         oracle_levels = theoretical_levels(
             sigma_k, template.noise_sd, template.n, config.oracle_alpha, config.oracle_delta,
         )
-    process_var = None
-    if "competitor_theoretical" in config.bands:
-        process_var = process_variance(template.process, template.grid)
+    process_var = process_variance(template.process, template.grid) if "competitor_theoretical" in config.bands else None
+    var_family = config.band_basis_family if "competitor_sample_var" in config.bands else None
 
-    def chunk(coeffs):
+    def score(pooled):
         @functools.cache
         def stats_for(fam, alpha, delta):
-            return pooled_stats(coeffs[fam], alpha, delta)
+            return pooled_stats(pooled[fam], alpha, delta)
 
-        cols = []
+        errs = []
         for cand in config.estimators:
             stats = stats_for(cand.basis_family, cand.alpha, 0.0)
             est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
-            cols.append(np.mean((est.values - f) ** 2, axis=-1))
+            errs.append(np.mean((est.values - f) ** 2, axis=-1))
         bands = [
-            _build_band(kind, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0), process_var)
+            _build_band(kind, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0),
+                        pooled[var_family].curve_var if kind == "competitor_sample_var" else process_var)
             for kind in config.bands
         ]
-        cols += [covers(band, f) for band in bands]
-        cols += [np.mean(2.0 * band.half_width, axis=-1) for band in bands]
+        hits = {}
         if config.oracle_checks:
             ostats = stats_for(config.band_basis_family, config.oracle_alpha, config.oracle_delta)
-            cols.append(omega_event_check(ostats, oracle_levels, mu_true))
-            cols.append(np.logical_and(*oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true)))
-            cols.append(np.logical_and(*oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true)))
-        return np.array(cols).T
+            hits["omega"] = omega_event_check(ostats, oracle_levels, mu_true)
+            hits["thm1"] = np.logical_and(*oracle_check_thm1(ostats, band_basis, oracle_levels, mu_true))
+            hits["thm2"] = np.logical_and(*oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true))
+        return errs, bands, hits
 
-    # one row per replicate: each estimator's squared error, each band's
-    # hit, each band's width, then the omega, thm1 and thm2 hits
-    rows = np.array(each_replicate(template, config.base_seed, S, bases, chunk))
-    E, B = len(config.estimators), len(config.bands)
-    est_errs = rows[:, :E].T
-    band_cov = rows[:, E:E + B].sum(axis=0)
-    band_width = [_sum_in_order(rows[:, E + B + b]) for b in range(B)]
-    oracle_hits = dict(zip(("omega", "thm1", "thm2"), rows[:, E + 2 * B:].sum(axis=0)))
+    # each estimator's squared errors, each band and each oracle check's
+    # hits, every one stacked over the replicates in seed order
+    est_errs, bands, oracle_hits = each_replicate(template, config.base_seed, S, bases, score, var_family=var_family)
 
     pass_rates = {}
     provenance = {
@@ -272,7 +266,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     if any(k.startswith("competitor") for k in config.bands):
         provenance["notes"] = [LS_CENTER_NOTE]
     if config.oracle_checks:
-        pass_rates = {tag: int(hits) / S for tag, hits in oracle_hits.items()}
+        pass_rates = {tag: int(np.sum(hits)) / S for tag, hits in oracle_hits.items()}
         thm3_panel = replace(template, seed=int(config.base_seed))
         lhs, rhs, ok = oracle_check_thm3(thm3_panel, S, config.band_basis_family, config.oracle_alpha)
         pass_rates["thm3"] = 1.0 if ok else 0.0
@@ -285,8 +279,8 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         sqrt_emse=tuple(float(np.sqrt(np.mean(row))) for row in est_errs),
         sqrt_medmse=tuple(float(np.sqrt(np.median(row))) for row in est_errs),
         band_kinds=tuple(config.bands),
-        coverage=tuple(int(hits) / S for hits in band_cov),
-        mean_width=tuple(width / S for width in band_width),
+        coverage=tuple(int(np.sum(covers(band, f))) / S for band in bands),
+        mean_width=tuple(_sum_in_order(np.mean(2.0 * band.half_width, axis=-1)) / S for band in bands),
         oracle_pass_rates=pass_rates,
         provenance=provenance,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import check_rule, fit, pooled_stats
-from .grid_basis import BASIS_FAMILIES, basis_for, check_open, check_seed
+from .grid_basis import basis_for, check_family, check_open, check_seed
 from .process_sim import CurvePanel
 
 __all__ = ["CandidateSpec", "SelectionResult", "split_panel", "empirical_risk", "select"]
@@ -27,8 +27,7 @@ class CandidateSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.basis_family not in BASIS_FAMILIES:
-            raise ValueError(f"unknown basis family {self.basis_family!r}")
+        check_family(self.basis_family, "basis_family")
         check_rule(self.rule, self.multiplier)
         check_open(self.alpha, "alpha", 0, 1)
 

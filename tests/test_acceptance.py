@@ -288,7 +288,7 @@ def test_criterion_11_soft_hard_gap_identity():
     for _ in range(1000):
         mu = rng.integers(-8 * 2**20, 8 * 2**20, size=64) / scale
         lev = rng.integers(0, 4 * 2**20, size=64) / scale
-        st = CoefficientStats(mu_hat=mu, per_curve=np.tile(mu, (4, 1)),
+        st = CoefficientStats(mu_hat=mu, n=4,
                               s_k=np.zeros(64), alpha=0.05, delta=0.0,
                               r_hat=lev, r_tilde=lev)
         hard = fit("hard", st, b, 1).coeffs

@@ -31,6 +31,7 @@ from curveband.bands import (
     _build_band,
     coverage_experiment,
     covers,
+    curve_variance,
 )
 from curveband.metrics_bench import omega_event_check
 
@@ -41,7 +42,7 @@ def _stats(mu_hat, r_hat, r_tilde=None, n=4, alpha=0.05, delta=0.0):
     if r_tilde is None:
         r_tilde = r_hat
     return CoefficientStats(
-        mu_hat=mu_hat, per_curve=np.tile(mu_hat, (n, 1)),
+        mu_hat=mu_hat, n=n,
         s_k=np.zeros_like(mu_hat), alpha=alpha, delta=delta,
         r_hat=r_hat, r_tilde=np.asarray(r_tilde, dtype=float),
     )
@@ -170,7 +171,7 @@ def test_sample_variance_brute_force():
     rng = np.random.default_rng(14)
     b = fourier_basis(make_grid(8))
     pc = rng.normal(size=(6, 8))
-    band = _build_band("competitor_sample_var", b, pooled_stats(pc, alpha=0.05))
+    band = _build_band("competitor_sample_var", b, pooled_stats(pc, alpha=0.05), curve_variance(pc, b))
     v = 6 * (band.half_width / normal_quantile(0.05 / 16.0)) ** 2
     recon = pc @ b.values.T
     for j in range(8):

@@ -17,9 +17,11 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
+    PooledCoefficients,
     fit,
     normal_quantile,
     per_curve_coeffs,
+    pool,
     pooled_stats,
     sparsity_report,
     theoretical_levels,
@@ -34,7 +36,7 @@ def _stats(mu_hat, r_hat, n=4, alpha=0.05, delta=0.0, r_tilde=None):
     if r_tilde is None:
         r_tilde = r_hat
     return CoefficientStats(
-        mu_hat=mu_hat, per_curve=np.tile(mu_hat, (n, 1)),
+        mu_hat=mu_hat, n=n,
         s_k=np.zeros_like(mu_hat), alpha=alpha, delta=delta,
         r_hat=r_hat, r_tilde=np.asarray(r_tilde, dtype=float),
     )
@@ -98,6 +100,19 @@ def test_pooled_validation():
         pooled_stats(np.zeros((3, 4)), alpha=1.5)
     with pytest.raises(ValueError):
         pooled_stats(np.zeros((3, 4)), alpha=0.05, delta=-0.1)
+
+
+def test_pooled_stats_of_a_pool_equal_those_of_its_matrix():
+    pc = np.random.default_rng(3).normal(size=(7, 8))
+    want = pooled_stats(pc, 0.05, 0.1)
+    got = pooled_stats(pool(pc), 0.05, 0.1)
+    assert got.n == want.n == 7
+    for name in ("mu_hat", "s_k", "r_hat", "r_tilde"):
+        assert_array_equal(getattr(got, name), getattr(want, name))
+    # a pool built by hand meets the same check of n as a matrix
+    for bad in (1, True, 2.5):
+        with pytest.raises(ValueError, match="n >= 2"):
+            pooled_stats(PooledCoefficients(bad, np.zeros(4), np.ones(4)), 0.05)
 
 
 def test_normal_quantile_known_values():

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curveband.metrics_bench as mb
-from curveband import bands
+from curveband import bands, process_sim
 from curveband.bands import coverage_experiment
 from curveband.grid_basis import analyze, fourier_basis, make_grid, synthesize
 from curveband.process_sim import (
@@ -47,7 +47,7 @@ def _exact_sd_stats(mu_hat, sigma_k, sigma_eps, n, m, alpha, delta, offset=0.0):
     s_k = np.sqrt(sigma_k**2 + sigma_eps**2 / m) + offset
     z = normal_quantile(alpha / (2.0 * m))
     return CoefficientStats(
-        mu_hat=np.asarray(mu_hat, dtype=float), per_curve=np.zeros((n, m)),
+        mu_hat=np.asarray(mu_hat, dtype=float), n=n,
         s_k=s_k, alpha=alpha, delta=delta,
         r_hat=(s_k + delta) * z / np.sqrt(n),
         r_tilde=(s_k + 3.0 * delta) * z / np.sqrt(n),
@@ -181,6 +181,18 @@ def test_thm3_full_scenario_reduced():
             oracle_check_thm3(cfg, S=bad)
     with pytest.raises(ValueError, match="unknown basis family"):
         oracle_check_thm3(cfg, S=2, basis_family="wavelet")
+
+
+def test_thm3_rejects_a_bad_alpha_before_it_reads_sigma_k():
+    # a process no other test uses, so reading its sigma_k would be a cache miss
+    g = make_grid(16)
+    cfg = PanelConfig(n=10, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="arima11", ar_phi=0.123),
+                      noise_sd=0.1, seed=0)
+    misses = process_sim._cached_sigma_k.cache_info().misses
+    for bad in [2.0, 0.0, float("nan")]:
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0,1\)"):
+            oracle_check_thm3(cfg, 2, alpha=bad)
+    assert process_sim._cached_sigma_k.cache_info().misses == misses
 
 
 def _scenario(n=30, m=32, S=5, seed=123, bands=(), oracle=False, noise_sd=0.25,

@@ -1,11 +1,11 @@
-"""Every public entry point's number parameters, against the value each
-kind of parameter rejects.
+"""Every public entry point's number and basis-family parameters, against
+the value each kind of parameter rejects.
 
 A parameter is one of a few kinds, each checked by one function in
 grid_basis: an open interval (alpha, a tail probability, ar_phi; a
 positive or any finite real is an open interval too), a finite
-nonnegative real, a whole-number count at least some minimum, or a seed.
-A bool, which numpy would take as 0 or 1, a string, NaN or an infinity
+nonnegative real, a whole-number count at least some minimum, or a seed;
+a basis family is one of the names grid_basis builds.  A bool, which numpy would take as 0 or 1, a string, NaN or an infinity
 is never a valid number, and every rejection is a ValueError that names
 the parameter and the value given.
 """
@@ -18,7 +18,7 @@ import pytest
 from curveband import bands
 from curveband.bands import coverage_experiment
 from curveband.estimator import normal_quantile, pooled_stats, theoretical_levels
-from curveband.grid_basis import Grid, make_grid
+from curveband.grid_basis import Grid, basis_for, make_grid
 from curveband.metrics_bench import ScenarioConfig, oracle_check_thm3
 from curveband.process_sim import (
     CurvePanel,
@@ -48,11 +48,12 @@ ENTRY_POINTS = {
                                            "snr": 2.0, "signal": SignalSpec(), **kw}),
     "replicate_configs": lambda **kw: replicate_configs(**{"template": PANEL, "base_seed": 0, "S": 2, **kw}),
     "Grid": Grid,
+    "basis_for": lambda family: basis_for(family, GRID),
     "normal_quantile": normal_quantile,
     "pooled_stats": lambda **kw: pooled_stats(**{"per_curve": np.zeros((3, 4)), "alpha": 0.05, "delta": 0.0, **kw}),
     "theoretical_levels": lambda **kw: theoretical_levels(**{"sigma_k": np.full(4, 0.1), "sigma_eps": 0.2, "n": 10,
                                                              "alpha": 0.05, "delta": 0.01, **kw}),
-    "CandidateSpec": lambda **kw: CandidateSpec("fourier", "hard", **kw),
+    "CandidateSpec": lambda **kw: CandidateSpec(**{"basis_family": "fourier", "rule": "hard", **kw}),
     "split_panel": lambda seed: split_panel(CURVES, seed),
     "select": lambda seed: select(CURVES, CANDIDATES, seed),
     "coverage_experiment": lambda **kw: coverage_experiment(**{"scenario": PANEL, "band_kind": "proposed_hard1",
@@ -74,6 +75,9 @@ KINDS = {
     "count>=1": (NEVER_NUMBERS + (-1, 0, 2.5, 3.0), r"^need a whole number {name} >= 1, got "),
     "count>=2": (NEVER_NUMBERS + (-1, 1, 2.5, 3.0), r"^need a whole number {name} >= 2, got "),
     "seed": (NEVER_NUMBERS + (-1, 1.5, 2.5, "3"), r"^{name} must be a whole number >= 0, got "),
+    # names: a near miss, another case, an empty name or no string at all
+    "family": (("fourir", "Haar", "", 3, None, True, ["fourier"]),
+               r"^{name} must be one of \('fourier', 'haar'\): unknown basis family "),
     # containers: a string would be read one character at a time
     "band kinds": (("proposed_hard1", ("mystery",), 5, None), r"^{name} must be a tuple of kinds from .*, got "),
     "candidates": ((("fourier",), ("fourier", "hard"), ()), r"^{name} must be a nonempty tuple of CandidateSpecs, got "),
@@ -94,6 +98,7 @@ TABLE = [
     ("replicate_configs", "S", "count>=1"),
     ("replicate_configs", "base_seed", "seed"),
     ("Grid", "m", "count>=2"),
+    ("basis_for", "family", "family"),
     ("normal_quantile", "p", "(0,1)"),
     ("pooled_stats", "alpha", "(0,1)"),
     ("pooled_stats", "delta", "nonnegative"),
@@ -102,6 +107,7 @@ TABLE = [
     ("theoretical_levels", "alpha", "(0,1)"),
     ("theoretical_levels", "delta", "nonnegative"),
     ("CandidateSpec", "alpha", "(0,1)"),
+    ("CandidateSpec", "basis_family", "family"),
     ("split_panel", "seed", "seed"),
     ("select", "seed", "seed"),
     ("coverage_experiment", "alpha", "(0,1)"),
@@ -114,6 +120,7 @@ TABLE = [
     ("ScenarioConfig", "oracle_delta", "nonnegative"),
     ("ScenarioConfig", "bands", "band kinds"),
     ("ScenarioConfig", "estimators", "candidates"),
+    ("ScenarioConfig", "band_basis_family", "family"),
     ("oracle_check_thm3", "S", "count>=2"),
     ("oracle_check_thm3", "alpha", "(0,1)"),
 ]

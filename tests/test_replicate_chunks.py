@@ -1,8 +1,10 @@
-"""The replicate engine's chunks against a loop of single-replicate calls.
+"""The replicate engine's single scoring pass against a loop of
+single-replicate calls.
 
-bands.each_replicate hands its body a chunk of replicates at once. Every
-report must still equal, bit for bit, what one replicate at a time gives,
-and a failure inside the chunked body must still name its replicate.
+bands.each_replicate pools each replicate's coefficients as it goes and
+hands its body every replicate at once. Every report must still equal, bit
+for bit, what one replicate at a time gives, and a failure inside the
+stacked body must still name its replicate.
 """
 
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 
 import curveband.metrics_bench as mb
 from curveband import bands
-from curveband.bands import BAND_KINDS, _build_band, coverage_experiment, covers
+from curveband.bands import BAND_KINDS, _build_band, coverage_experiment, covers, curve_variance
 from curveband.estimator import fit, per_curve_coeffs, pooled_stats, theoretical_levels, truncated_target
 from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid
 from curveband.metrics_bench import (
@@ -37,11 +39,8 @@ from curveband.process_sim import (
 from curveband.selector import CandidateSpec
 
 N, M = 64, 64
-# replicates per chunk at this panel size; S = CHUNK + 1 ends on a short
-# chunk, and S = 4 * CHUNK + 1 sums more than the 8 values below which
-# numpy's pairwise sum adds in order
-CHUNK = max(1, bands._CHUNK_BYTES // (8 * N * M))
-SIZES = (1, CHUNK + 1, 4 * CHUNK + 1)
+# S = 17 sums more than the 8 values below which numpy's pairwise sum adds in order
+SIZES = (1, 5, 17)
 ESTIMATORS = (
     CandidateSpec("fourier", "hard", 1),
     CandidateSpec("fourier", "least_squares"),
@@ -106,7 +105,8 @@ def _reference_run(config):
         ])
         bstats = pooled_stats(coeffs[config.band_basis_family], config.band_alpha)
         for b, kind in enumerate(config.bands):
-            band = _build_band(kind, bb, bstats, var)
+            v = curve_variance(coeffs[config.band_basis_family], bb) if kind == "competitor_sample_var" else var
+            band = _build_band(kind, bb, bstats, v)
             hits[b] += covers(band, f)
             widths[b] += float(np.mean(2.0 * band.half_width))
         if config.oracle_checks:
@@ -161,7 +161,9 @@ def test_coverage_experiment_equals_the_single_replicate_loop(panel, kind):
         for S in SIZES:
             covered, width = 0, 0.0
             for cfg in replicate_configs(panel, panel.seed, S):
-                band = _build_band(kind, basis, pooled_stats(_coeffs(cfg, basis), 0.05), var)
+                pc = _coeffs(cfg, basis)
+                v = curve_variance(pc, basis) if kind == "competitor_sample_var" else var
+                band = _build_band(kind, basis, pooled_stats(pc, 0.05), v)
                 covered += covers(band, target)
                 width += float(np.mean(2.0 * band.half_width))
             rep = coverage_experiment(panel, kind, S, target_kind=target_kind)
@@ -180,10 +182,12 @@ def test_thm3_equals_the_single_replicate_loop(panel, family):
 
 
 def _failing_on(real, marker):
-    """real, except that it raises when any slice of its first argument is marker."""
+    """real, except that it raises when any row of its first argument, or of
+    that argument's pooled means, is marker."""
 
     def wrapped(x, *args, **kwargs):
-        if any(np.array_equal(s, marker) for s in np.asarray(x).reshape(-1, *marker.shape)):
+        rows = np.asarray(getattr(x, "mu_hat", x)).reshape(-1, *marker.shape)
+        if any(np.array_equal(s, marker) for s in rows):
             raise ValueError("synthetic failure")
         return real(x, *args, **kwargs)
 
@@ -191,27 +195,26 @@ def _failing_on(real, marker):
 
 
 def test_a_failure_inside_a_chunk_names_its_replicate(panel, monkeypatch):
-    # four replicates to a chunk, so replicate 2 fails in the middle of one
-    monkeypatch.setattr(bands, "_CHUNK_BYTES", 4 * 8 * N * M)
+    # the scoring fails on replicate 2's pooled means, in the middle of the stack
     S, base_seed = 6, 31
     cfg2 = replicate_configs(panel, base_seed, S)[2]
-    coeffs2 = _coeffs(cfg2, basis_for("fourier", panel.grid))
+    means2 = _coeffs(cfg2, basis_for("fourier", panel.grid)).mean(axis=0)
     expect = rf"replicate 2 failed \(panel seed {cfg2.seed}\): synthetic failure"
 
     config = ScenarioConfig(panel=panel, estimators=ESTIMATORS[:1], bands=("proposed_hard1",), replicates=S,
                             base_seed=base_seed, oracle_checks=True)
     with monkeypatch.context() as patch:
-        patch.setattr(mb, "pooled_stats", _failing_on(pooled_stats, coeffs2))
+        patch.setattr(mb, "pooled_stats", _failing_on(pooled_stats, means2))
         with pytest.raises(RuntimeError, match=expect):
             run_scenario(config)
 
     seeded = replace(panel, seed=base_seed)
     with monkeypatch.context() as patch:
-        patch.setattr(bands, "pooled_stats", _failing_on(pooled_stats, coeffs2))
+        patch.setattr(bands, "pooled_stats", _failing_on(pooled_stats, means2))
         with pytest.raises(RuntimeError, match=expect):
             coverage_experiment(seeded, "proposed_hard1", S)
 
     with monkeypatch.context() as patch:
-        patch.setattr(mb, "truncated_target", _failing_on(truncated_target, coeffs2.mean(axis=0)))
+        patch.setattr(mb, "truncated_target", _failing_on(truncated_target, means2))
         with pytest.raises(RuntimeError, match=expect):
             oracle_check_thm3(seeded, S)
