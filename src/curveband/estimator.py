@@ -99,7 +99,9 @@ def per_curve_coeffs(panel: CurvePanel, basis: BasisMatrix) -> np.ndarray:
     """Row i holds the basis coefficients of curve i."""
     if panel.grid != basis.grid:
         raise ValueError("panel grid does not match basis grid")
-    return panel.Y @ basis.values / basis.m
+    coeffs = panel.Y @ basis.values
+    coeffs /= basis.m
+    return coeffs
 
 
 def pool(per_curve: np.ndarray) -> PooledCoefficients:
@@ -108,8 +110,14 @@ def pool(per_curve: np.ndarray) -> PooledCoefficients:
     pc = np.asarray(per_curve, dtype=float)
     if pc.ndim < 2:
         raise ValueError("per-curve coefficients must be an n x m matrix")
-    check_count(pc.shape[-2], "n", 2)  # for the coefficient sample SD
-    return PooledCoefficients(pc.shape[-2], pc.mean(axis=-2), pc.std(axis=-2, ddof=1))
+    n = pc.shape[-2]
+    check_count(n, "n", 2)  # for the coefficient sample SD
+    # mean and std(ddof=1) by the ufunc calls numpy's own make, bit for bit,
+    # with the SD taken about this mean instead of a second one
+    mu = pc.sum(axis=-2) / n
+    dev = pc - mu[..., None, :]
+    dev *= dev
+    return PooledCoefficients(n, mu, np.sqrt(dev.sum(axis=-2) / (n - 1)))
 
 
 def pooled_stats(per_curve, alpha: float, delta: float = 0.0) -> CoefficientStats:
@@ -117,12 +125,25 @@ def pooled_stats(per_curve, alpha: float, delta: float = 0.0) -> CoefficientStat
     pool() or already pooled; each row of a stack pools as it would alone."""
     p = per_curve if isinstance(per_curve, PooledCoefficients) else pool(per_curve)
     check_count(p.n, "n", 2)
+    _check_pooled(p)
     check_open(alpha, "alpha", 0, 1)
     check_nonnegative(delta, "delta")
     z = normal_quantile(alpha / (2.0 * p.mu_hat.shape[-1]))
     r_hat = (p.s_k + delta) * z / np.sqrt(p.n)
     r_tilde = (p.s_k + 3.0 * delta) * z / np.sqrt(p.n)
     return CoefficientStats(mu_hat=p.mu_hat, n=p.n, s_k=p.s_k, alpha=alpha, delta=delta, r_hat=r_hat, r_tilde=r_tilde)
+
+
+def _check_pooled(p: PooledCoefficients):
+    """A hand-built pool is checked as pool() would have made it: mu_hat
+    and s_k of one shape with at least one axis, finite, s_k nonnegative."""
+    mu, sk = np.asarray(p.mu_hat), np.asarray(p.s_k)
+    if mu.shape != sk.shape or mu.ndim == 0:
+        raise ValueError(f"mu_hat and s_k must be vectors or stacks of one shape, got {mu.shape} and {sk.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu_hat must be finite")
+    if not np.all(np.isfinite(sk) & (sk >= 0.0)):
+        raise ValueError("s_k must be finite and nonnegative")
 
 
 def theoretical_levels(

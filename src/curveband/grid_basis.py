@@ -82,7 +82,14 @@ class Grid:
 
     def __post_init__(self):
         check_count(self.m, "m", 2)
-        object.__setattr__(self, "points", _frozen_array((np.arange(1, self.m + 1) - 0.5) / self.m))
+        object.__setattr__(self, "points", _midpoints(self.m))
+
+
+@functools.lru_cache(maxsize=8)
+def _midpoints(m: int) -> np.ndarray:
+    """The read-only points of every m-point grid, shared: each panel
+    derives its own Grid, and one vector per m serves them all."""
+    return _frozen_array((np.arange(1, m + 1) - 0.5) / m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,7 +131,7 @@ class CurvePanel:
         Y = np.array(self.Y, dtype=float)
         if Y.ndim != 2:
             raise ValueError(f"panel must be an n x m matrix, got shape {Y.shape}")
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             raise ValueError("panel entries must be finite")
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
@@ -156,6 +156,16 @@ def eval_signal(spec: SignalSpec, grid: Grid) -> np.ndarray:
     if values.shape != (grid.m,):
         raise ValueError(f"custom signal length {values.shape} does not match m={grid.m}")
     return values.copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_signal(signal: SignalSpec, grid: Grid) -> np.ndarray:
+    """eval_signal for up to eight (signal, m) pairs, read-only, for
+    generate_panel: a scenario runner draws every panel of a run from one
+    signal and cycles through four calibrated ones."""
+    values = eval_signal(signal, grid)
+    values.setflags(write=False)
+    return values
 
 
 def covariance_matrix(process: ProcessSpec, grid: Grid) -> np.ndarray:
@@ -279,9 +289,10 @@ def generate_panel(config: PanelConfig) -> CurvePanel:
     Y = f + N U, with U that covariance's upper Cholesky factor.
     """
     grid = config.grid
-    f = eval_signal(config.signal, grid)
+    f = _cached_signal(config.signal, grid)
     rng = np.random.default_rng(config.seed)
-    Y = f + rng.standard_normal((config.n, grid.m)) @ _cholesky_t(config.process, config.noise_sd, grid)
+    Y = rng.standard_normal((config.n, grid.m)) @ _cholesky_t(config.process, config.noise_sd, grid)
+    Y += f  # in place: N U + f is f + N U bit for bit
     return CurvePanel(Y)
 
 
@@ -294,7 +305,9 @@ def replicate_configs(template: PanelConfig, base_seed: int, S: int) -> list:
     check_count(S, "S", 1)
     check_seed(base_seed, "base_seed")
     seeds = np.random.SeedSequence(base_seed).generate_state(S, dtype=np.uint64)
-    return [replace(template, seed=int(seed)) for seed in seeds]
+    t = template
+    # built directly, not by dataclasses.replace, which costs as much again
+    return [PanelConfig(t.n, t.grid, t.signal, t.process, t.noise_sd, int(seed)) for seed in seeds]
 
 
 def sigma_k_theoretical(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:

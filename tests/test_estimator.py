@@ -115,6 +115,38 @@ def test_pooled_stats_of_a_pool_equal_those_of_its_matrix():
             pooled_stats(PooledCoefficients(bad, np.zeros(4), np.ones(4)), 0.05)
 
 
+@pytest.mark.parametrize("n", [2, 3, 9, 17, 100])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["matrix", "stack"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pool_equals_numpy_mean_and_std_bit_for_bit(n, lead, order):
+    # numpy sums a C-ordered matrix over its curves one row at a time, a
+    # Fortran-ordered one pairwise: n = 17 and 100 run past its 8-value block
+    rng = np.random.default_rng(n)
+    for scale in (0.01, 1.0, 1000.0):
+        pc = np.asarray(scale * rng.normal(size=lead + (n, 64)) + rng.normal(size=64), order=order)
+        p = pool(pc)
+        assert p.n == n
+        assert np.array_equal(p.mu_hat, pc.mean(axis=-2))
+        assert np.array_equal(p.s_k, pc.std(axis=-2, ddof=1))
+
+
+@pytest.mark.parametrize("mu_hat, s_k, field", [
+    (np.zeros(4), np.ones(1), "mu_hat and s_k"),
+    (np.zeros((2, 4)), np.ones(4), "mu_hat and s_k"),
+    (np.float64(0.0), np.float64(1.0), "mu_hat and s_k"),
+    (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4), "mu_hat"),
+    (np.array([0.0, 0.0, -np.inf, 0.0]), np.ones(4), "mu_hat"),
+    (np.zeros(4), np.array([np.nan, 1.0, 1.0, 1.0]), "s_k"),
+    (np.zeros(4), np.array([1.0, -1.0, 1.0, 1.0]), "s_k"),
+    (np.zeros(4), np.array([1.0, 1.0, np.inf, 0.0]), "s_k"),
+    (np.zeros((3, 4)), np.full((3, 4), -0.5), "s_k"),
+], ids=["lengths", "stack-vector", "scalars", "nan-mu", "inf-mu", "nan-sk", "negative-sk", "inf-sk", "negative-stack"])
+def test_pooled_stats_rejects_a_malformed_pool(mu_hat, s_k, field):
+    # a pool built by hand is held to what pool() makes
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        pooled_stats(PooledCoefficients(5, mu_hat, s_k), 0.05)
+
+
 def test_normal_quantile_known_values():
     assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     assert normal_quantile(0.025) == pytest.approx(1.959964, abs=1e-6)

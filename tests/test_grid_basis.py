@@ -39,6 +39,17 @@ def test_make_grid_m256_first_point():
     assert g.points[0] == 1.0 / 512.0
 
 
+def test_grids_of_one_m_share_one_read_only_points_vector():
+    # each panel derives its Grid, so the points are built once per m
+    first, again = Grid(24), make_grid(24)
+    assert again.points is first.points and not first.points.flags.writeable
+    assert np.array_equal(first.points, (np.arange(1, 25) - 0.5) / 24)
+    for m in range(2, 30):
+        Grid(m)
+    info = grid_basis._midpoints.cache_info()
+    assert info.currsize == info.maxsize == 8
+
+
 def test_make_grid_rejects_small_m():
     with pytest.raises(ValueError):
         make_grid(1)

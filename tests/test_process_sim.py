@@ -54,6 +54,38 @@ def test_custom_signal_roundtrip_and_mismatch():
         eval_signal(SignalSpec(kind="custom", custom_values=(1.0, 2.0)), g)
 
 
+def test_signal_cache_shares_equal_specs_and_stays_bounded():
+    g = make_grid(8)
+    process_sim._cached_signal.cache_clear()
+    first = process_sim._cached_signal(SignalSpec(c1=0.5), g)
+    again = process_sim._cached_signal(SignalSpec(c1=0.5), make_grid(8))
+    assert again is first and not first.flags.writeable
+    assert process_sim._cached_signal.cache_info()[:2] == (1, 1)
+    assert np.array_equal(first, eval_signal(SignalSpec(c1=0.5), g))
+    for c1 in range(20):
+        process_sim._cached_signal(SignalSpec(c1=float(c1)), g)
+    info = process_sim._cached_signal.cache_info()
+    assert info.currsize == info.maxsize == 8
+
+
+def test_eval_signal_returns_a_fresh_writable_array():
+    g = make_grid(8)
+    for spec in (SignalSpec(), SignalSpec(kind="signal2"), SignalSpec(kind="custom", custom_values=(1.0,) * 8)):
+        cached = process_sim._cached_signal(spec, g)
+        values = eval_signal(spec, g)
+        assert values.flags.writeable and not np.shares_memory(values, cached)
+        values[0] = 99.0  # a caller's write reaches neither the cache nor the next panel
+        assert cached[0] != 99.0 and np.array_equal(cached, eval_signal(spec, g))
+
+
+def test_generate_panel_rejects_a_custom_signal_of_the_wrong_length():
+    cfg = PanelConfig(n=3, grid=make_grid(4), signal=SignalSpec(kind="custom", custom_values=(1.0, 2.0)),
+                      process=ProcessSpec(), noise_sd=0.1, seed=0)
+    for _ in range(2):  # a failed evaluation is not cached
+        with pytest.raises(ValueError, match=r"custom signal length \(2,\) does not match m=4"):
+            generate_panel(cfg)
+
+
 def test_process_spec_validation():
     with pytest.raises(ValueError):
         ProcessSpec(kind="ar1", ar_phi=1.0)
@@ -389,7 +421,7 @@ def test_sigma_k_of_a_hand_built_basis_is_its_own():
 
 def test_cached_public_names_stay_plain_functions():
     # a benchmark tracer wraps only plain functions named in __all__
-    for name in ("sigma_k_theoretical", "process_variance"):
+    for name in ("sigma_k_theoretical", "process_variance", "eval_signal"):
         assert inspect.isfunction(getattr(process_sim, name)) and name in process_sim.__all__
 
 
