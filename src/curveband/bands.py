@@ -254,7 +254,7 @@ def coverage_experiment(
                           var_family=basis_family if sample_var else None)
     covered = int(np.sum(covers(band, target)))
     width_sum = _sum_in_order(np.mean(2.0 * band.half_width, axis=-1))
-    notes = (LS_CENTER_NOTE,) if band_kind.startswith("competitor") else ()
+    notes = (LS_CENTER_NOTE,) if band_kind in COMPETITOR_KINDS else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=width_sum / S,
         target=target_kind, band_kind=band_kind, notes=notes,

@@ -2,9 +2,11 @@
 
 Panels travel as wide CSV: the first row holds the midpoint design
 t_j = (j - 1/2)/m, each following row one curve, every value rendered
-with 17 significant digits so files round-trip losslessly.  Every
-command writes a JSON sidecar (<out>.meta.json) echoing the exact
-configuration and seeds needed to regenerate its output.  Exit codes:
+with 17 significant digits so files round-trip losslessly.  simulate,
+estimate and band write a JSON sidecar (<out>.meta.json) echoing the
+exact configuration and seeds needed to regenerate their output; select
+and sparsity put that config block in their JSON report, and bench a
+provenance block.  Exit codes:
 0 success, 1 invalid input, configuration or command line, 2 I/O failure.
 """
 
@@ -95,6 +97,13 @@ def _reals(block: dict) -> dict:
     }
 
 
+def _require(block: dict, keys, where: str):
+    """Reject a block that lacks any of keys, naming the block and them."""
+    missing = [key for key in keys if key not in block]
+    if missing:
+        raise ValueError(f"{where} is missing key(s) {missing}")
+
+
 def candidate_from_dict(d: dict) -> CandidateSpec:
     kw = dict(d)
     kw.update(_reals({key: kw[key] for key in ("multiplier", "alpha") if key in kw}))
@@ -104,11 +113,13 @@ def candidate_from_dict(d: dict) -> CandidateSpec:
 def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
     """Panel block: n, m, signal, process, seed, and either noise_sd or a
     calibration block {sigma_star, snr} that derives noise and signal scale."""
+    _require(d, ("n", "m") if "calibration" in d else ("n", "m", "noise_sd"), "panel")
     grid = make_grid(_integer(d["m"], "m"))
     signal = _spec_from_dict(SignalSpec, "signal", d.get("signal", {}))
     process = _spec_from_dict(ProcessSpec, "process", d.get("process", {}))
     if "calibration" in d:
         cal = d["calibration"]
+        _require(cal, ("sigma_star", "snr"), "calibration")
         calib = calibrate(process, grid, _real(cal["sigma_star"], "sigma_star"), _real(cal["snr"], "snr"), signal)
         noise_sd, signal, process = calib.noise_sd, calib.signal, calib.process
     else:
@@ -122,6 +133,7 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
 
 def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     """The keys the scenario gives; ScenarioConfig's defaults fill the rest."""
+    _require(d, ("panel", "estimators"), "scenario")
     kw = dict(d)
     if seed_override is not None:
         kw["base_seed"] = seed_override
@@ -138,8 +150,9 @@ def _check_keys(block, known, where: str):
     check_keys(block, known, where)
 
 
-def _load_scenario(path: str) -> dict:
-    """Scenario JSON whose blocks hold no key that the commands would ignore.
+def _load_scenario(path: str, *needs: str) -> dict:
+    """Scenario JSON that holds the blocks a command needs and no key that
+    the commands would ignore.
 
     Every command checks the signal and process blocks by kind, also one
     such as select that builds no panel from them.
@@ -147,6 +160,7 @@ def _load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     _check_keys(d, _SCENARIO_KEYS, "scenario")
+    _require(d, needs, "scenario")
     panel = d.get("panel", {})
     _check_keys(panel, _PANEL_KEYS, "panel")
     _spec_from_dict(SignalSpec, "signal", panel.get("signal", {}))
@@ -215,7 +229,7 @@ def _reject_given(args, dests, reason: str):
 def cmd_simulate(args) -> int:
     if args.scenario:
         _reject_given(args, _PANEL_FLAGS, "the --scenario panel block sets the panel")
-        cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"], seed_override=args.seed)
+        cfg = panel_config_from_dict(_load_scenario(args.scenario, "panel")["panel"], seed_override=args.seed)
     else:
         n, m, signal, process, noise_sd = (
             default if getattr(args, dest) is None else getattr(args, dest)
@@ -273,7 +287,7 @@ def cmd_select(args) -> int:
     panel = read_panel_csv(args.panel)
     if args.scenario:
         _reject_given(args, ("alpha",), "the --scenario candidates carry their own alpha")
-        cands = [candidate_from_dict(e) for e in _load_scenario(args.scenario)["estimators"]]
+        cands = [candidate_from_dict(e) for e in _load_scenario(args.scenario, "estimators")["estimators"]]
         echo = {"scenario": args.scenario}
     else:
         alpha = 0.05 if args.alpha is None else args.alpha
@@ -313,7 +327,7 @@ def cmd_band(args) -> int:
     if args.kind == "competitor_theoretical":
         if not args.scenario:
             raise ValueError("competitor_theoretical needs --scenario for the process covariance")
-        cfg = panel_config_from_dict(_load_scenario(args.scenario)["panel"])
+        cfg = panel_config_from_dict(_load_scenario(args.scenario, "panel")["panel"])
         if cfg.grid != panel.grid:
             raise ValueError("scenario grid size does not match the stored panel")
         variance = process_variance(cfg.process, panel.grid)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, LS_CENTER_NOTE, _build_band, _sum_in_order, covers, each_replicate, verdict
+from .bands import BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _build_band, _sum_in_order, covers, each_replicate, verdict
 from .estimator import (
     CoefficientStats,
     TheoreticalLevels,
@@ -263,7 +263,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         "band_basis_family": config.band_basis_family,
         "band_alpha": config.band_alpha,
     }
-    if any(k.startswith("competitor") for k in config.bands):
+    if any(k in COMPETITOR_KINDS for k in config.bands):
         provenance["notes"] = [LS_CENTER_NOTE]
     if config.oracle_checks:
         pass_rates = {tag: int(np.sum(hits)) / S for tag, hits in oracle_hits.items()}

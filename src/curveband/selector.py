@@ -1,9 +1,9 @@
 """Cross-validated choice among candidate estimators via one data split.
 
-Curves are split in half at random; every candidate (basis family, rule,
-level multiplier, alpha) is fit on the first half and scored by the
-held-out empirical risk on the second half.  The winner is the argmin,
-ties broken by candidate order.
+Curves are split in half at random; each basis family pools the first
+half once, and every candidate (family, rule, level multiplier, alpha) is
+fit from its family's pool and scored by the held-out empirical risk on
+the second half.  The winner is the argmin, ties broken by candidate order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import check_rule, fit, pooled_stats
+from .estimator import check_rule, fit, per_curve_coeffs, pool, pooled_stats
 from .grid_basis import basis_for, check_family, check_open, check_seed
 from .process_sim import CurvePanel
 
@@ -63,9 +63,11 @@ def split_panel(panel: CurvePanel, seed: int):
 
 def empirical_risk(panel: CurvePanel, indices: np.ndarray, g: np.ndarray) -> float:
     """Held-out risk (1/|I|) sum_i (1/m) sum_j (Y_ij - g(t_j))^2."""
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(indices)
     if idx.size == 0:
         raise ValueError("empirical risk needs a nonempty index set")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= panel.n:
+        raise ValueError(f"indices must be a vector of whole numbers in [0, {panel.n}), got {indices!r}")
     g = np.asarray(g, dtype=float)
     if g.shape != (panel.grid.m,):
         raise ValueError(f"fitted values must have length {panel.grid.m}")
@@ -82,23 +84,22 @@ def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
     if not candidates:
         raise ValueError("candidate list is empty")
     i1, i2 = split_panel(panel, seed)
-    bases = {}
-    warnings = []
+    fitting_half = CurvePanel(panel.Y[i1])
+    pooled, warnings = {}, []
+    for family in dict.fromkeys(cand.basis_family for cand in candidates):
+        try:
+            basis = basis_for(family, panel.grid)
+        except ValueError as exc:
+            warnings.append(f"skipped {family} candidates: {exc}")
+            continue
+        pooled[family] = basis, pool(per_curve_coeffs(fitting_half, basis))
     risks = np.full(len(candidates), np.inf)
     fits = [None] * len(candidates)
     for ell, cand in enumerate(candidates):
-        if cand.basis_family not in bases:
-            try:
-                bases[cand.basis_family] = basis_for(cand.basis_family, panel.grid)
-            except ValueError as exc:
-                bases[cand.basis_family] = None
-                warnings.append(f"skipped {cand.basis_family} candidates: {exc}")
-        basis = bases[cand.basis_family]
-        if basis is None:
-            continue
-        stats = pooled_stats(panel.Y[i1] @ basis.values / basis.m, cand.alpha)
-        fits[ell] = fit(cand.rule, stats, basis, cand.multiplier).values
-        risks[ell] = empirical_risk(panel, i2, fits[ell])
+        if cand.basis_family in pooled:
+            basis, p = pooled[cand.basis_family]
+            fits[ell] = fit(cand.rule, pooled_stats(p, cand.alpha), basis, cand.multiplier).values
+            risks[ell] = empirical_risk(panel, i2, fits[ell])
     if not np.any(np.isfinite(risks)):
         raise ValueError("no candidate could be fit on this panel")
     winner_index = int(np.argmin(risks))

@@ -588,3 +588,48 @@ def test_scenario_keys_the_kind_ignores_exit1(tmp_path, capsys, top, needle):
     assert _run(command, "--scenario", scen, "--out", out) == 1
     assert needle in capsys.readouterr().err
     assert not list(tmp_path.glob("p.csv*"))
+
+
+def _scenario_without(tmp_path, key):
+    scen = _scenario_file(tmp_path)
+    scen.write_text(json.dumps({k: v for k, v in json.loads(scen.read_text()).items() if k != key}))
+    return scen
+
+
+@pytest.mark.parametrize("panel, message", [
+    ({k: v for k, v in _PANEL.items() if k != "n"}, "panel is missing key(s) ['n']"),
+    ({k: v for k, v in _PANEL.items() if k not in ("n", "m")}, "panel is missing key(s) ['n', 'm']"),
+    (_CALIBRATED_PANEL, "panel is missing key(s) ['noise_sd']"),
+    ({**_CALIBRATED_PANEL, "calibration": {"sigma_star": 1.0}}, "calibration is missing key(s) ['snr']"),
+    ({**_CALIBRATED_PANEL, "calibration": {}}, "calibration is missing key(s) ['sigma_star', 'snr']"),
+], ids=["n", "n-m", "noise_sd", "snr", "sigma_star-snr"])
+def test_a_missing_panel_key_is_named(tmp_path, capsys, panel, message):
+    # these were bare KeyErrors, printed as "error: 'n'"
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
+    scen = _scenario_file(tmp_path, panel=panel)
+    out = tmp_path / "out.csv"
+    for argv in (("simulate",), ("bench",), ("band", "--panel", ppath, "--kind", "competitor_theoretical")):
+        assert _run(*argv, "--scenario", scen, "--out", out) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+def test_a_missing_scenario_block_is_named_where_it_is_read(tmp_path, capsys):
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    out = tmp_path / "out.csv"
+    no_panel = _scenario_without(tmp_path, "panel")
+    for argv in (("simulate",), ("bench",), ("band", "--panel", ppath, "--kind", "competitor_theoretical")):
+        assert _run(*argv, "--scenario", no_panel, "--out", out) == 1, argv
+        assert capsys.readouterr().err == "error: scenario is missing key(s) ['panel']\n", argv
+    # select reads only the candidates
+    assert _run("select", "--panel", ppath, "--scenario", no_panel, "--out", out) == 0
+    out.unlink()
+    no_estimators = _scenario_without(tmp_path, "estimators")
+    for argv in (("select", "--panel", ppath), ("bench",)):
+        assert _run(*argv, "--scenario", no_estimators, "--out", out) == 1, argv
+        assert capsys.readouterr().err == "error: scenario is missing key(s) ['estimators']\n", argv
+    assert not list(tmp_path.glob("out.csv*"))
+    with pytest.raises(ValueError, match=r"scenario is missing key\(s\) \['estimators'\]"):
+        scenario_from_dict({"panel": _PANEL})

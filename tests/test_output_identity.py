@@ -4,7 +4,8 @@ A change made for speed must leave every one of them bit for bit: a
 run_scenario with oracle checks on each process, over every band kind and
 both basis families; coverage_experiment against both targets; two panels;
 one panel's per-curve coefficients and pooled statistics on each family;
-and sigma_k_theoretical for each process and family.  Arrays are compared
+sigma_k_theoretical for each process and family; and select over both
+families, where Haar builds (m = 16) and where it is skipped (m = 24).  Arrays are compared
 by the sha256 of their float64 bytes.  A change that declares a new random
 stream or a new estimate updates these values and says so in CHANGES.md.
 """
@@ -27,7 +28,7 @@ from curveband.process_sim import (
     generate_panel,
     sigma_k_theoretical,
 )
-from curveband.selector import CandidateSpec
+from curveband.selector import CandidateSpec, select
 
 # Haar needs m = 16; the Fourier-only outputs take m = 24, where dividing by
 # m rounds as it does by n = 17
@@ -36,6 +37,19 @@ ESTIMATORS = (
     CandidateSpec("fourier", "hard", 1),
     CandidateSpec("fourier", "least_squares"),
     CandidateSpec("haar", "soft", 2, alpha=0.1),
+)
+# every rule, two alphas, both families, and each family more than once
+SELECT_CANDIDATES = (
+    CandidateSpec("fourier", "hard", 1),
+    CandidateSpec("haar", "hard", 2, alpha=0.1),
+    CandidateSpec("fourier", "soft", 2, alpha=0.1),
+    CandidateSpec("haar", "least_squares"),
+    CandidateSpec("fourier", "least_squares", alpha=0.1),
+    CandidateSpec("haar", "soft", 1),
+    CandidateSpec("fourier", "hard", 2, alpha=0.1),
+    CandidateSpec("haar", "hard", 1, alpha=0.1),
+    CandidateSpec("fourier", "soft", 1),
+    CandidateSpec("haar", "soft", 2),
 )
 COVERAGE_BANDS = (("proposed_hard1", "fourier", M_FOURIER), ("proposed_soft2", "haar", M),
                   ("competitor_sample_var", "fourier", M_FOURIER))
@@ -119,6 +133,19 @@ def _sigma_k() -> dict:
     }
 
 
+def _select() -> dict:
+    out = {}
+    for m in (M, M_FOURIER):
+        res = select(generate_panel(_template("bb", m, seed=9)), SELECT_CANDIDATES, 4)
+        out[f"m={m}"] = {
+            "winner_index": res.winner_index,
+            "risks": [float(r).hex() for r in res.risks],
+            "fitted_values": _array_digest(res.fitted_values),
+            "warnings": list(res.warnings),
+        }
+    return out
+
+
 def observed() -> dict:
     return {
         "run_scenario": {process: _run_scenario(process) for process in PROCESS_KINDS},
@@ -126,6 +153,7 @@ def observed() -> dict:
         "generate_panel": _panels(),
         "coefficients": _coefficients(),
         "sigma_k_theoretical": _sigma_k(),
+        "select": _select(),
     }
 
 
@@ -307,6 +335,42 @@ GOLDEN = {
         'ar1 haar': 'b638881e0c19188e',
         'arima11 fourier': 'f6208d4f7d5d2bc5',
         'arima11 haar': 'e92e4a8f90a98339',
+    },
+    'select': {
+        'm=16': {
+            'winner_index': 1,
+            'risks': [
+                '0x1.cd2ff9cea5530p-2',
+                '0x1.bc7943c71f516p-2',
+                '0x1.95abeff66ba3ap-1',
+                '0x1.c86103e1a5f26p-2',
+                '0x1.c86103e1a5f24p-2',
+                '0x1.217f0a3cd34f6p-1',
+                '0x1.f2cd18da23a64p-2',
+                '0x1.d638eb9fa4a96p-2',
+                '0x1.0610bd4ff18c3p-1',
+                '0x1.21678fa65bc6ap+0',
+            ],
+            'fitted_values': '3a92e1ba4319e632',
+            'warnings': [],
+        },
+        'm=24': {
+            'winner_index': 0,
+            'risks': [
+                '0x1.f697cbf1572f8p-2',
+                'inf',
+                '0x1.15674445b2ab0p+0',
+                'inf',
+                '0x1.152d4800568efp-1',
+                'inf',
+                '0x1.fed205d387a08p-1',
+                'inf',
+                '0x1.6e000367c2685p-1',
+                'inf',
+            ],
+            'fitted_values': '04860ed5cc318f50',
+            'warnings': ['skipped haar candidates: haar basis needs m a power of two >= 2, got 24'],
+        },
     },
 }
 

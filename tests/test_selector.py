@@ -105,6 +105,11 @@ def test_empirical_risk_validation():
         empirical_risk(p, np.array([], dtype=int), np.zeros(4))
     with pytest.raises(ValueError):
         empirical_risk(p, np.array([0]), np.zeros(5))
+    # each of these once scored some curve, or raised IndexError: -1 the
+    # last, 0.5 curve 0, True curve 1
+    for indices in ([-1], [0.5], [True], [7], [[0, 1]]):
+        with pytest.raises(ValueError, match="indices"):
+            empirical_risk(p, indices, np.zeros(4))
 
 
 def test_select_single_candidate():
@@ -167,6 +172,23 @@ def test_select_refit_reproduces_fit_bitwise():
     sub = CurvePanel(Y=p.Y[res1.i1_indices])
     st = pooled_stats(per_curve_coeffs(sub, b), alpha=cand.alpha)
     assert_array_equal(fit("hard", st, b, 1).values, res1.fitted_values)
+
+
+@pytest.mark.parametrize("m, analyses", [(16, 2), (24, 1)])
+def test_select_analyses_each_family_once(monkeypatch, m, analyses):
+    calls = []
+
+    def counted(panel, basis):
+        calls.append(basis.family)
+        return per_curve_coeffs(panel, basis)
+
+    monkeypatch.setattr("curveband.selector.per_curve_coeffs", counted)
+    cands = [CandidateSpec(f, rule, 1, alpha) for alpha in (0.05, 0.1) for f in ("fourier", "haar")
+             for rule in ("hard", "soft", "least_squares")]
+    res = select(_panel(n=9, m=m), cands, seed=3)
+    assert len(calls) == analyses
+    assert sorted(set(calls)) == ["fourier", "haar"][:analyses]
+    assert np.isfinite(res.risks).sum() == len(cands) // 2 * analyses
 
 
 def test_select_skips_haar_on_bad_m():
