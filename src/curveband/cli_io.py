@@ -104,10 +104,21 @@ def _require(block: dict, keys, where: str):
         raise ValueError(f"{where} is missing key(s) {missing}")
 
 
-def candidate_from_dict(d: dict) -> CandidateSpec:
-    kw = dict(d)
-    kw.update(_reals({key: kw[key] for key in ("multiplier", "alpha") if key in kw}))
-    return CandidateSpec(**kw)
+def candidates_from_dict(d: dict) -> tuple:
+    """The candidates in a scenario's estimators list; a bad entry is named as estimators[i]."""
+    block = d["estimators"]
+    if not isinstance(block, list):
+        raise ValueError(f"estimators must be a JSON list of objects, got {block!r}")
+    cands = []
+    for i, entry in enumerate(block):
+        where = f"estimators[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object, got {entry!r}")
+        _require(entry, ("basis_family", "rule"), where)
+        kw = dict(entry)
+        kw.update(_reals({key: kw[key] for key in ("multiplier", "alpha") if key in kw}))
+        cands.append(CandidateSpec(**kw))
+    return tuple(cands)
 
 
 def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
@@ -138,7 +149,7 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     if seed_override is not None:
         kw["base_seed"] = seed_override
     kw["panel"] = panel_config_from_dict(d["panel"])
-    kw["estimators"] = tuple(candidate_from_dict(e) for e in d["estimators"])
+    kw["estimators"] = candidates_from_dict(d)
     kw.update({key: _integer(kw[key], key) for key in ("replicates", "base_seed") if key in kw})
     kw.update({key: _real(kw[key], key) for key in ("band_alpha", "oracle_alpha", "oracle_delta") if key in kw})
     return ScenarioConfig(**kw)
@@ -287,7 +298,7 @@ def cmd_select(args) -> int:
     panel = read_panel_csv(args.panel)
     if args.scenario:
         _reject_given(args, ("alpha",), "the --scenario candidates carry their own alpha")
-        cands = [candidate_from_dict(e) for e in _load_scenario(args.scenario, "estimators")["estimators"]]
+        cands = candidates_from_dict(_load_scenario(args.scenario, "estimators"))
         echo = {"scenario": args.scenario}
     else:
         alpha = 0.05 if args.alpha is None else args.alpha
@@ -301,11 +312,10 @@ def cmd_select(args) -> int:
     payload = {
         "winner": result.winner.label(),
         "winner_index": result.winner_index,
-        "risks": {c.label(): (None if not np.isfinite(r) else float(r)) for c, r in zip(cands, result.risks)},
+        "risks": {c.label(): float(r) for c, r in zip(cands, result.risks)},
         "split_seed": result.split_seed,
         "i1_indices": result.i1_indices.tolist(),
         "i2_indices": result.i2_indices.tolist(),
-        "warnings": list(result.warnings),
         "config": {"panel": args.panel, "seed": split_seed, **echo},
     }
     _write_json(args.out, payload)

@@ -1,9 +1,10 @@
 """Equispaced design grids and basis systems for discretized curves.
 
 The design puts mass 1/m at each of the m midpoints t_j = (j - 1/2)/m.
-Both basis families built here (Fourier and Haar) are exactly orthonormal
-under that empirical measure, which is what makes coefficient analysis a
-plain matrix product and keeps round trips lossless.
+Both basis families built here build on every m >= 2 (Haar splits each block
+of L indices into its first ceil(L/2) and last floor(L/2)) and are exactly
+orthonormal under that empirical measure, which is what makes coefficient
+analysis a plain matrix product and keeps round trips lossless.
 """
 
 from __future__ import annotations
@@ -139,25 +140,26 @@ def fourier_basis(grid: Grid) -> BasisMatrix:
 
 
 def haar_basis(grid: Grid) -> BasisMatrix:
-    """Haar system: constant plus wavelets ordered by (level, shift).
+    """Unbalanced Haar system on any m >= 2: the constant, then one wavelet
+    per index block, ordered by (level, position).
 
-    Requires m = 2^J so every wavelet breakpoint falls between midpoints.
+    From all m points down, each block of L >= 2 points splits into its
+    first p = ceil(L/2) and last q = floor(L/2).  Its wavelet is
+    +sqrt(m q / (p L)) on the first part and -sqrt(m p / (q L)) on the
+    second: zero mean and unit norm, and 2^(l/2) at level l when m = 2^J.
     """
-    m, t = grid.m, grid.points
-    J = int(round(np.log2(m)))
-    if 2**J != m or J < 1:
-        raise ValueError(f"haar basis needs m a power of two >= 2, got {m}")
-    cols = [np.ones(m)]
-    for l in range(J):
-        amp = 2.0 ** (l / 2.0)
-        for q in range(2**l):
-            lo = q / 2.0**l
-            mid = (q + 0.5) / 2.0**l
-            hi = (q + 1.0) / 2.0**l
-            pos = ((t >= lo) & (t < mid)).astype(float)
-            neg = ((t >= mid) & (t < hi)).astype(float)
-            cols.append(amp * (pos - neg))
-    return BasisMatrix(family="haar", values=np.column_stack(cols))
+    m = grid.m
+    values = np.zeros((m, m))
+    values[:, 0] = 1.0
+    # breadth-first: the list grows by each block's halves while it is walked
+    blocks = [(0, m)]
+    for k, (lo, hi) in enumerate(blocks, start=1):
+        size = hi - lo
+        p, q = (size + 1) // 2, size // 2
+        values[lo:lo + p, k] = np.sqrt(m * q / (p * size))
+        values[lo + p:hi, k] = -np.sqrt(m * p / (q * size))
+        blocks += [(a, b) for a, b in ((lo, lo + p), (lo + p, hi)) if b - a >= 2]
+    return BasisMatrix(family="haar", values=values)
 
 
 def basis_for(family: str, grid: Grid) -> BasisMatrix:

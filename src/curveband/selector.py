@@ -47,7 +47,6 @@ class SelectionResult:
     split_seed: int
     i1_indices: np.ndarray
     i2_indices: np.ndarray
-    warnings: tuple
 
 
 def split_panel(panel: CurvePanel, seed: int):
@@ -75,33 +74,21 @@ def empirical_risk(panel: CurvePanel, indices: np.ndarray, g: np.ndarray) -> flo
 
 
 def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
-    """Fit every candidate on one half, pick the held-out risk minimizer.
-
-    Haar candidates are skipped (with a recorded warning) when m is not a
-    power of two; their risk slot is set to +inf so indices stay aligned.
-    """
+    """Fit every candidate on one half, pick the held-out risk minimizer."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list is empty")
     i1, i2 = split_panel(panel, seed)
     fitting_half = CurvePanel(panel.Y[i1])
-    pooled, warnings = {}, []
+    pooled = {}
     for family in dict.fromkeys(cand.basis_family for cand in candidates):
-        try:
-            basis = basis_for(family, panel.grid)
-        except ValueError as exc:
-            warnings.append(f"skipped {family} candidates: {exc}")
-            continue
+        basis = basis_for(family, panel.grid)
         pooled[family] = basis, pool(per_curve_coeffs(fitting_half, basis))
-    risks = np.full(len(candidates), np.inf)
-    fits = [None] * len(candidates)
-    for ell, cand in enumerate(candidates):
-        if cand.basis_family in pooled:
-            basis, p = pooled[cand.basis_family]
-            fits[ell] = fit(cand.rule, pooled_stats(p, cand.alpha), basis, cand.multiplier).values
-            risks[ell] = empirical_risk(panel, i2, fits[ell])
-    if not np.any(np.isfinite(risks)):
-        raise ValueError("no candidate could be fit on this panel")
+    fits = []
+    for cand in candidates:
+        basis, p = pooled[cand.basis_family]
+        fits.append(fit(cand.rule, pooled_stats(p, cand.alpha), basis, cand.multiplier).values)
+    risks = np.array([empirical_risk(panel, i2, g) for g in fits])
     winner_index = int(np.argmin(risks))
     return SelectionResult(
         winner=candidates[winner_index],
@@ -111,5 +98,4 @@ def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
         split_seed=int(seed),
         i1_indices=i1,
         i2_indices=i2,
-        warnings=tuple(warnings),
     )

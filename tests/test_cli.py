@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from curveband.cli_io import main, read_panel_csv, scenario_from_dict, write_panel_csv
 from curveband.grid_basis import fourier_basis, haar_basis, make_grid, synthesize
 from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel
-from curveband.estimator import per_curve_coeffs, pooled_stats
+from curveband.estimator import fit, per_curve_coeffs, pooled_stats
 from curveband.selector import CandidateSpec, select
 from curveband.bands import _build_band
 from curveband.metrics_bench import ScenarioConfig
@@ -158,13 +158,15 @@ def test_estimate_files_pipeline_sparsity(tmp_path):
     assert abs(meta["config"]["active_count"] - 11) <= 2
 
 
-def test_estimate_haar_bad_m_exit1(tmp_path, capsys):
-    panel = CurvePanel(Y=np.zeros((3, 12)))
+def test_estimate_haar_on_m12_matches_library(tmp_path):
+    panel = CurvePanel(Y=np.random.default_rng(4).normal(size=(6, 12)))
     ppath = tmp_path / "p12.csv"
     write_panel_csv(panel, str(ppath))
-    code = _run("estimate", "--panel", ppath, "--basis", "haar", "--out", tmp_path / "x")
-    assert code == 1
-    assert "power of two" in capsys.readouterr().err.lower()
+    assert _run("estimate", "--panel", ppath, "--basis", "haar", "--out", tmp_path / "x") == 0
+    basis = haar_basis(panel.grid)
+    expected = fit("hard", pooled_stats(per_curve_coeffs(panel, basis), 0.05, 0.0), basis, 1).values
+    got = np.array([float(r.split(",")[2]) for r in _read_rows(tmp_path / "x.fit.csv")[1:]])
+    assert_array_equal(got, expected)
 
 
 def test_estimate_missing_panel_exit2(tmp_path, capsys):
@@ -633,3 +635,23 @@ def test_a_missing_scenario_block_is_named_where_it_is_read(tmp_path, capsys):
     assert not list(tmp_path.glob("out.csv*"))
     with pytest.raises(ValueError, match=r"scenario is missing key\(s\) \['estimators'\]"):
         scenario_from_dict({"panel": _PANEL})
+
+
+@pytest.mark.parametrize("estimators, message", [
+    (["x"], "estimators[0] must be a JSON object, got 'x'"),
+    ({"basis_family": "fourier", "rule": "hard"},
+     "estimators must be a JSON list of objects, got {'basis_family': 'fourier', 'rule': 'hard'}"),
+    ([{"basis_family": "fourier", "rule": "hard"}, {"basis_family": "haar"}], "estimators[1] is missing key(s) ['rule']"),
+    ([{"rule": "hard"}], "estimators[0] is missing key(s) ['basis_family']"),
+], ids=["string-entry", "object-block", "no-rule", "no-basis_family"])
+def test_a_malformed_estimators_block_is_named(tmp_path, capsys, estimators, message):
+    # these printed Python internals, such as "dictionary update sequence
+    # element #0 has length 1; 2 is required"
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    scen = _scenario_file(tmp_path, estimators=estimators)
+    out = tmp_path / "out.csv"
+    for argv in (("select", "--panel", ppath), ("bench",)):
+        assert _run(*argv, "--scenario", scen, "--out", out) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert not list(tmp_path.glob("out.csv*"))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from curveband import grid_basis
 from curveband.grid_basis import (
+    BASIS_FAMILIES,
     BasisMatrix,
     Grid,
     analyze,
@@ -97,14 +98,41 @@ def test_haar_m4_mother_wavelet():
     assert_array_equal(b.values[:, 1], [1.0, 1.0, -1.0, -1.0])
 
 
-@pytest.mark.parametrize("m", [16, 64, 256])
-def test_haar_orthonormality(m):
-    assert check_orthonormality(haar_basis(make_grid(m))) < 1e-10
+@pytest.mark.parametrize("m", [2, 3, 12, 16, 24, 64, 100, 256, 1000])
+@pytest.mark.parametrize("family", BASIS_FAMILIES)
+def test_every_family_builds_orthonormal_on_any_m(family, m):
+    b = basis_for(family, make_grid(m))
+    assert b.family == family and b.m == m
+    assert check_orthonormality(b) < 1e-10
+    # every column after the constant is orthogonal to it: zero mean
+    assert np.max(np.abs(b.values[:, 1:].mean(axis=0))) < 1e-10
 
 
-def test_haar_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        haar_basis(make_grid(12))
+def _dyadic_haar_reference(m):
+    # the m = 2^J construction: level l holds 2^l blocks of m / 2^l indices,
+    # +2^(l/2) on a block's first half and -2^(l/2) on its second
+    cols = [np.ones(m)]
+    for l in range(int(np.log2(m))):
+        width = m >> l
+        for q in range(2**l):
+            col = np.zeros(m)
+            col[q * width:q * width + width // 2] = 1.0
+            col[q * width + width // 2:(q + 1) * width] = -1.0
+            cols.append(2.0 ** (l / 2.0) * col)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("J", range(1, 12))
+def test_haar_on_a_dyadic_grid_is_the_balanced_system_bit_for_bit(J):
+    values = haar_basis(make_grid(2**J)).values
+    assert values.tobytes() == _dyadic_haar_reference(2**J).tobytes()
+
+
+def test_haar_splits_an_odd_block_first_part_longer():
+    # m = 3: the root block splits 2 + 1, then its first part 1 + 1
+    b = haar_basis(make_grid(3))
+    assert_allclose(b.values[:, 1], [np.sqrt(0.5), np.sqrt(0.5), -np.sqrt(2.0)], rtol=0, atol=1e-15)
+    assert_allclose(b.values[:, 2], [np.sqrt(1.5), -np.sqrt(1.5), 0.0], rtol=0, atol=1e-15)
 
 
 def test_haar_sup_norms_by_level():

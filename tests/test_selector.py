@@ -174,7 +174,7 @@ def test_select_refit_reproduces_fit_bitwise():
     assert_array_equal(fit("hard", st, b, 1).values, res1.fitted_values)
 
 
-@pytest.mark.parametrize("m, analyses", [(16, 2), (24, 1)])
+@pytest.mark.parametrize("m, analyses", [(16, 2), (24, 2)])
 def test_select_analyses_each_family_once(monkeypatch, m, analyses):
     calls = []
 
@@ -191,18 +191,29 @@ def test_select_analyses_each_family_once(monkeypatch, m, analyses):
     assert np.isfinite(res.risks).sum() == len(cands) // 2 * analyses
 
 
-def test_select_skips_haar_on_bad_m():
+def test_select_fits_haar_on_a_non_dyadic_grid():
     g = make_grid(12)
     cfg = PanelConfig(n=8, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
                       noise_sd=0.2, seed=2)
     p = generate_panel(cfg)
-    cands = [CandidateSpec("haar", "hard", 1), CandidateSpec("fourier", "hard", 1)]
-    res = select(p, cands, seed=0)
-    assert res.winner_index == 1
-    assert np.isinf(res.risks[0])
-    assert len(res.warnings) == 1 and "haar" in res.warnings[0]
-    with pytest.raises(ValueError):
-        select(p, [CandidateSpec("haar", "hard", 1)], seed=0)
+    cands = [CandidateSpec("haar", rule, 1, alpha) for alpha in (0.05, 0.1) for rule in ("hard", "soft")]
+    res = select(p, [*cands, CandidateSpec("fourier", "hard", 1)], seed=0)
+    assert np.all(np.isfinite(res.risks))
+    alone = select(p, cands, seed=0)
+    assert_array_equal(alone.risks, res.risks[:-1])
+    assert np.all(np.isfinite(alone.fitted_values))
+
+
+@pytest.mark.parametrize("m", [12, 24])
+def test_least_squares_in_every_family_is_the_pointwise_mean(m):
+    # least squares in a complete orthonormal basis keeps every coefficient,
+    # so its fit is the fitting half's mean curve whatever the basis
+    p = _panel(n=11, m=m, seed=5)
+    fits = {family: select(p, [CandidateSpec(family, "least_squares")], seed=1) for family in ("fourier", "haar")}
+    mean = p.Y[fits["haar"].i1_indices].mean(axis=0)
+    for res in fits.values():
+        assert np.max(np.abs(res.fitted_values - mean)) < 1e-12
+    assert abs(fits["haar"].risks[0] - fits["fourier"].risks[0]) < 1e-12
 
 
 def test_select_rejects_empty_candidates():
