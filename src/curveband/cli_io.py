@@ -48,11 +48,11 @@ FMT = "%.17g"
 GRID_ROW_TOLERANCE = 1e-3
 
 # Keys a scenario JSON may hold, by block; signal and process blocks hold
-# the keys process_sim.KIND_PARAMS gives for their kind, and estimator
-# blocks are checked by the dataclass they build.
+# the keys process_sim.KIND_PARAMS gives for their kind.
 _SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
 _PANEL_KEYS = {"n", "m", "signal", "process", "noise_sd", "calibration", "seed"}
 _CALIBRATION_KEYS = {"sigma_star", "snr"}
+_CANDIDATE_KEYS = {f.name for f in fields(CandidateSpec)}
 
 # a custom signal needs its grid values, which only a scenario can give
 _SIGNAL_CHOICES = tuple(kind for kind in SIGNAL_KINDS if kind != "custom")
@@ -104,6 +104,14 @@ def _require(block: dict, keys, where: str):
         raise ValueError(f"{where} is missing key(s) {missing}")
 
 
+def _block(block, known, where: str) -> dict:
+    """The block, once it is a JSON object holding only keys in known."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    check_keys(block, known, where)
+    return block
+
+
 def candidates_from_dict(d: dict) -> tuple:
     """The candidates in a scenario's estimators list; a bad entry is named as estimators[i]."""
     block = d["estimators"]
@@ -114,6 +122,7 @@ def candidates_from_dict(d: dict) -> tuple:
         where = f"estimators[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be a JSON object, got {entry!r}")
+        check_keys(entry, _CANDIDATE_KEYS, where)
         _require(entry, ("basis_family", "rule"), where)
         kw = dict(entry)
         kw.update(_reals({key: kw[key] for key in ("multiplier", "alpha") if key in kw}))
@@ -123,13 +132,20 @@ def candidates_from_dict(d: dict) -> tuple:
 
 def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
     """Panel block: n, m, signal, process, seed, and either noise_sd or a
-    calibration block {sigma_star, snr} that derives noise and signal scale."""
-    _require(d, ("n", "m") if "calibration" in d else ("n", "m", "noise_sd"), "panel")
-    grid = make_grid(_integer(d["m"], "m"))
+    calibration block {sigma_star, snr} that derives noise and signal scale.
+    The block is checked as it is built, down to its signal and process."""
+    _block(d, _PANEL_KEYS, "panel")
     signal = _spec_from_dict(SignalSpec, "signal", d.get("signal", {}))
     process = _spec_from_dict(ProcessSpec, "process", d.get("process", {}))
-    if "calibration" in d:
-        cal = d["calibration"]
+    calibrated = "calibration" in d
+    cal = _block(d.get("calibration", {}), _CALIBRATION_KEYS, "calibration")
+    if calibrated and "noise_sd" in d:
+        raise ValueError("panel gives both noise_sd and calibration; calibration derives noise_sd")
+    if calibrated and "innovation_sd" in d.get("process", {}):
+        raise ValueError("panel gives both process innovation_sd and calibration; calibration derives innovation_sd")
+    _require(d, ("n", "m") if calibrated else ("n", "m", "noise_sd"), "panel")
+    grid = make_grid(_integer(d["m"], "m"))
+    if calibrated:
         _require(cal, ("sigma_star", "snr"), "calibration")
         calib = calibrate(process, grid, _real(cal["sigma_star"], "sigma_star"), _real(cal["snr"], "snr"), signal)
         noise_sd, signal, process = calib.noise_sd, calib.signal, calib.process
@@ -144,7 +160,7 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
 
 def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     """The keys the scenario gives; ScenarioConfig's defaults fill the rest."""
-    _require(d, ("panel", "estimators"), "scenario")
+    _require(_block(d, _SCENARIO_KEYS, "scenario"), ("panel", "estimators"), "scenario")
     kw = dict(d)
     if seed_override is not None:
         kw["base_seed"] = seed_override
@@ -155,32 +171,12 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     return ScenarioConfig(**kw)
 
 
-def _check_keys(block, known, where: str):
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    check_keys(block, known, where)
-
-
 def _load_scenario(path: str, *needs: str) -> dict:
-    """Scenario JSON that holds the blocks a command needs and no key that
-    the commands would ignore.
-
-    Every command checks the signal and process blocks by kind, also one
-    such as select that builds no panel from them.
-    """
+    """Scenario JSON: an object of ScenarioConfig keys that holds the blocks
+    a command needs.  The builders check each block as they build it."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    _check_keys(d, _SCENARIO_KEYS, "scenario")
-    _require(d, needs, "scenario")
-    panel = d.get("panel", {})
-    _check_keys(panel, _PANEL_KEYS, "panel")
-    _spec_from_dict(SignalSpec, "signal", panel.get("signal", {}))
-    _spec_from_dict(ProcessSpec, "process", panel.get("process", {}))
-    _check_keys(panel.get("calibration", {}), _CALIBRATION_KEYS, "calibration")
-    if "calibration" in panel and "noise_sd" in panel:
-        raise ValueError("panel gives both noise_sd and calibration; calibration derives noise_sd")
-    if "calibration" in panel and "innovation_sd" in panel.get("process", {}):
-        raise ValueError("panel gives both process innovation_sd and calibration; calibration derives innovation_sd")
+    _require(_block(d, _SCENARIO_KEYS, "scenario"), needs, "scenario")
     return d
 
 
@@ -298,7 +294,10 @@ def cmd_select(args) -> int:
     panel = read_panel_csv(args.panel)
     if args.scenario:
         _reject_given(args, ("alpha",), "the --scenario candidates carry their own alpha")
-        cands = candidates_from_dict(_load_scenario(args.scenario, "estimators"))
+        d = _load_scenario(args.scenario, "estimators")
+        if "panel" in d:
+            panel_config_from_dict(d["panel"])  # select reads no panel, but checks the one it is given
+        cands = candidates_from_dict(d)
         echo = {"scenario": args.scenario}
     else:
         alpha = 0.05 if args.alpha is None else args.alpha

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from curveband import cli_io
 from curveband.cli_io import main, read_panel_csv, scenario_from_dict, write_panel_csv
 from curveband.grid_basis import fourier_basis, haar_basis, make_grid, synthesize
 from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel
@@ -408,6 +410,7 @@ _MALFORMED_BLOCKS = (
     ({"signal": [1, 2]}, "signal must be a JSON object"),
     ({"process": [["kind", "bm"]]}, "process must be a JSON object"),
     ({"process": [1, 2]}, "process must be a JSON object"),
+    ({"calibration": [1]}, "calibration must be a JSON object"),
 )
 
 
@@ -415,6 +418,8 @@ def test_simulate_rejects_signal_and_process_blocks_that_are_not_objects(tmp_pat
     out = tmp_path / "p.csv"
     for block, needle in _MALFORMED_BLOCKS:
         scen = _scenario_file(tmp_path, panel={**_PANEL, **block})
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            scenario_from_dict(json.loads(scen.read_text()))
         assert _run("simulate", "--scenario", scen, "--out", out) == 1, block
         assert needle in capsys.readouterr().err
     assert not out.exists()
@@ -479,9 +484,15 @@ def test_scenario_unknown_keys_exit1(tmp_path, capsys):
         ({"panel": {**_PANEL, "noice_sd": 0.1}}, "noice_sd"),
         ({"panel": {**calibrated, "calibration": {**calibration, "snrr": 2}}}, "snrr"),
         ({"panel": {**_PANEL, "calibration": calibration}}, "both noise_sd and calibration"),
+        ({"panel": [1, 2]}, "panel must be a JSON object"),
+        ({"panel": 3}, "panel must be a JSON object"),
+        ({"panel": {**calibrated, "calibration": [1]}}, "calibration must be a JSON object"),
     )
     for top, needle in cases:
         scen = _scenario_file(tmp_path, **top)
+        # the library builder rejects what the CLI does, with its message
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            scenario_from_dict(json.loads(scen.read_text()))
         for argv in (("simulate", "--scenario", scen),
                      ("select", "--panel", ppath, "--scenario", scen),
                      ("band", "--panel", ppath, "--kind", "competitor_theoretical", "--scenario", scen),
@@ -611,7 +622,8 @@ def test_a_missing_panel_key_is_named(tmp_path, capsys, panel, message):
     write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(4, 16))), str(ppath))
     scen = _scenario_file(tmp_path, panel=panel)
     out = tmp_path / "out.csv"
-    for argv in (("simulate",), ("bench",), ("band", "--panel", ppath, "--kind", "competitor_theoretical")):
+    for argv in (("simulate",), ("bench",), ("band", "--panel", ppath, "--kind", "competitor_theoretical"),
+                 ("select", "--panel", ppath)):
         assert _run(*argv, "--scenario", scen, "--out", out) == 1, argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
     assert not list(tmp_path.glob("out.csv*"))
@@ -643,7 +655,9 @@ def test_a_missing_scenario_block_is_named_where_it_is_read(tmp_path, capsys):
      "estimators must be a JSON list of objects, got {'basis_family': 'fourier', 'rule': 'hard'}"),
     ([{"basis_family": "fourier", "rule": "hard"}, {"basis_family": "haar"}], "estimators[1] is missing key(s) ['rule']"),
     ([{"rule": "hard"}], "estimators[0] is missing key(s) ['basis_family']"),
-], ids=["string-entry", "object-block", "no-rule", "no-basis_family"])
+    ([{"basis_family": "fourier", "rule": "hard", "mult": 2}],
+     "estimators[0] does not read key(s) ['mult']; it reads some of ['alpha', 'basis_family', 'multiplier', 'rule']"),
+], ids=["string-entry", "object-block", "no-rule", "no-basis_family", "unknown-key"])
 def test_a_malformed_estimators_block_is_named(tmp_path, capsys, estimators, message):
     # these printed Python internals, such as "dictionary update sequence
     # element #0 has length 1; 2 is required"
@@ -655,3 +669,40 @@ def test_a_malformed_estimators_block_is_named(tmp_path, capsys, estimators, mes
         assert _run(*argv, "--scenario", scen, "--out", out) == 1, argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
     assert not list(tmp_path.glob("out.csv*"))
+
+
+def test_select_checks_the_panel_block_it_does_not_read(tmp_path, capsys):
+    # select reads only the candidates, and once let a one-curve panel pass
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    scen = _scenario_file(tmp_path, panel={**_PANEL, "n": 1})
+    out = tmp_path / "out.csv"
+    assert _run("simulate", "--scenario", scen, "--out", out) == 1
+    message = capsys.readouterr().err
+    assert message == "error: need a whole number n >= 2, got 1\n"
+    assert _run("select", "--panel", ppath, "--scenario", scen, "--out", out) == 1
+    assert capsys.readouterr().err == message
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+def test_each_command_builds_a_calibrated_scenario_once(tmp_path, monkeypatch):
+    # a pre-walk once built the signal and process specs only to drop them,
+    # so simulate, band and bench built each twice
+    counts = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli_io, "_spec_from_dict", counted("specs", cli_io._spec_from_dict))
+    monkeypatch.setattr(cli_io, "calibrate", counted("calibrate", cli_io.calibrate))
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    scen = _scenario_file(tmp_path, panel={**_CALIBRATED_PANEL, "calibration": _CALIBRATION})
+    for argv in (("simulate",), ("select", "--panel", ppath),
+                 ("band", "--panel", ppath, "--kind", "competitor_theoretical"), ("bench",)):
+        counts.update(specs=0, calibrate=0)
+        assert _run(*argv, "--scenario", scen, "--out", tmp_path / "out") == 0, argv
+        assert counts == {"specs": 2, "calibrate": 1}, argv
