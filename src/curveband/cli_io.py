@@ -6,8 +6,10 @@ with 17 significant digits so files round-trip losslessly.  simulate,
 estimate and band write a JSON sidecar (<out>.meta.json) echoing the
 exact configuration and seeds needed to regenerate their output; select
 and sparsity put that config block in their JSON report, and bench a
-provenance block.  Exit codes:
-0 success, 1 invalid input, configuration or command line, 2 I/O failure.
+provenance block.  A scenario JSON's values reach the library's checks
+as given; only its counts and seeds are converted, so 2.0 reads as 2.
+Exit codes: 0 success, 1 invalid input, configuration or command line,
+2 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,6 +36,7 @@ from .process_sim import (
     SignalSpec,
     calibrate,
     check_keys,
+    check_kind,
     generate_panel,
     process_variance,
     sigma_k_theoretical,
@@ -65,21 +69,14 @@ _PANEL_FLAGS = (*_SIMULATE_DEFAULTS, "sigma_star", "snr", "ar_phi", "innovation_
 
 def _spec_from_dict(spec_cls, family: str, block: dict):
     """A signal or process spec from a block that holds only keys its kind
-    reads, even at their defaults."""
+    reads, even at their defaults; its kind and keys are checked first."""
     if not isinstance(block, dict):
         raise ValueError(f"{family} must be a JSON object")
     kw = dict(block)
     kind = kw.pop("kind", spec_cls.kind)
-    spec = spec_cls(kind=kind, **_reals(kw))
+    check_kind(kind, family)
     check_keys(kw, KIND_PARAMS[family][kind], f"{kind} {family}")
-    return spec
-
-
-def _real(value, key: str) -> float:
-    """A number; float() would take true as 1.0 and parse "0.05"."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return spec_cls(kind=kind, **kw)
 
 
 def _integer(value, key: str) -> int:
@@ -87,14 +84,6 @@ def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be a whole number, got {value!r}")
     return int(value)
-
-
-def _reals(block: dict) -> dict:
-    """The block's values as floats, and its lists as tuples of floats."""
-    return {
-        key: tuple(_real(v, key) for v in value) if isinstance(value, list) else _real(value, key)
-        for key, value in block.items()
-    }
 
 
 def _require(block: dict, keys, where: str):
@@ -124,9 +113,7 @@ def candidates_from_dict(d: dict) -> tuple:
             raise ValueError(f"{where} must be a JSON object, got {entry!r}")
         check_keys(entry, _CANDIDATE_KEYS, where)
         _require(entry, ("basis_family", "rule"), where)
-        kw = dict(entry)
-        kw.update(_reals({key: kw[key] for key in ("multiplier", "alpha") if key in kw}))
-        cands.append(CandidateSpec(**kw))
+        cands.append(CandidateSpec(**entry))
     return tuple(cands)
 
 
@@ -147,10 +134,10 @@ def panel_config_from_dict(d: dict, seed_override=None) -> PanelConfig:
     grid = make_grid(_integer(d["m"], "m"))
     if calibrated:
         _require(cal, ("sigma_star", "snr"), "calibration")
-        calib = calibrate(process, grid, _real(cal["sigma_star"], "sigma_star"), _real(cal["snr"], "snr"), signal)
+        calib = calibrate(process, grid, cal["sigma_star"], cal["snr"], signal)
         noise_sd, signal, process = calib.noise_sd, calib.signal, calib.process
     else:
-        noise_sd = _real(d["noise_sd"], "noise_sd")
+        noise_sd = d["noise_sd"]
     seed = _integer(seed_override if seed_override is not None else d.get("seed", 0), "seed")
     return PanelConfig(
         n=_integer(d["n"], "n"), grid=grid, signal=signal, process=process,
@@ -167,7 +154,6 @@ def scenario_from_dict(d: dict, seed_override=None) -> ScenarioConfig:
     kw["panel"] = panel_config_from_dict(d["panel"])
     kw["estimators"] = candidates_from_dict(d)
     kw.update({key: _integer(kw[key], key) for key in ("replicates", "base_seed") if key in kw})
-    kw.update({key: _real(kw[key], key) for key in ("band_alpha", "oracle_alpha", "oracle_delta") if key in kw})
     return ScenarioConfig(**kw)
 
 
@@ -198,7 +184,10 @@ def write_panel_csv(panel: CurvePanel, path: str):
 def read_panel_csv(path: str) -> CurvePanel:
     """Panel whose grid row is the midpoint design of its width, to within
     GRID_ROW_TOLERANCE / m; every basis is orthonormal only on that design."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # the row count below rejects a file with no rows, which numpy warns of
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if rows.shape[0] < 3:
         raise ValueError("panel CSV needs a grid row plus at least two curves")
     grid = make_grid(rows.shape[1])
@@ -401,10 +390,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--out", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curveband",
@@ -413,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a noisy curve panel CSV")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="panel seed (default: the scenario's, else 0)")
     p.add_argument("--scenario", default=None, help="scenario JSON whose panel block sets the panel; no panel flags with it")
     p.add_argument("--n", type=int, default=None, help="curves (default 100)")
@@ -428,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="threshold-estimate the mean from a panel CSV")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--panel", required=True)
     p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
     p.add_argument("--rule", choices=RULES, default="hard")
@@ -438,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("select", help="data-split selection among candidate estimators")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="split seed (default 0)")
     p.add_argument("--scenario", default=None, help="scenario JSON whose estimators are the candidates")
     p.add_argument("--panel", required=True)
@@ -446,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("band", help="build a uniform confidence band from a panel CSV")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--scenario", default=None, help="scenario JSON giving the process (competitor_theoretical)")
     p.add_argument("--panel", required=True)
     p.add_argument("--kind", choices=BAND_KINDS, default="proposed_hard1")
@@ -456,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_band)
 
     p = sub.add_parser("sparsity", help="count true coefficients above theoretical levels")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--signal", choices=_SIGNAL_CHOICES, default="signal1")
     p.add_argument("--process", choices=PROCESS_KINDS, default="bb")
     p.add_argument("--basis", choices=BASIS_FAMILIES, default="fourier")
@@ -468,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sparsity)
 
     p = sub.add_parser("bench", help="run a scenario JSON and write report JSON + CSV")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="base seed (default: the scenario's)")
     p.add_argument("--scenario", required=True)
     p.add_argument("--replicates", type=int, default=None)

@@ -176,7 +176,7 @@ def check_rule(rule: str, multiplier):
         raise ValueError(f"unknown rule {rule!r}; choose from {RULES}")
     allowed = RULE_MULTIPLIERS[rule]
     if isinstance(multiplier, (bool, np.bool_)) or multiplier not in allowed:
-        raise ValueError(f"threshold multiplier must be {' or '.join(map(str, allowed))}, got {multiplier}")
+        raise ValueError(f"threshold multiplier must be {' or '.join(map(str, allowed))}, got {multiplier!r}")
 
 
 def fit(rule: str, stats: CoefficientStats, basis: BasisMatrix, multiplier: float = 1) -> MeanEstimate:

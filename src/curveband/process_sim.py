@@ -52,6 +52,12 @@ def check_keys(keys, known, where: str):
         raise ValueError(f"{where} does not read key(s) {unread}; it reads some of {sorted(known)}")
 
 
+def check_kind(kind, family: str):
+    """Reject a kind, such as a list or an unknown name, that is not one of the family's."""
+    if not (isinstance(kind, str) and kind in KIND_PARAMS[family]):
+        raise ValueError(f"unknown {family} kind {kind!r}")
+
+
 def _check_unread_at_default(spec, family: str):
     """A field the spec's kind does not read must keep its default."""
     changed = [f.name for f in fields(spec) if f.name != "kind" and getattr(spec, f.name) != f.default]
@@ -74,14 +80,16 @@ class SignalSpec:
     custom_values: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
+        check_kind(self.kind, "signal")
         for name in ("c1", "c2", "c3"):
             check_open(getattr(self, name), name, -np.inf, np.inf)
-        if self.custom_values is not None:
-            for v in self.custom_values:
+        values = self.custom_values
+        if values is not None:
+            if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1):
+                raise ValueError(f"custom_values must be a list of grid values, got {values!r}")
+            for v in values:
                 check_open(v, "custom_values", -np.inf, np.inf)
-            object.__setattr__(self, "custom_values", tuple(float(v) for v in self.custom_values))
+            object.__setattr__(self, "custom_values", tuple(float(v) for v in values))
         elif self.kind == "custom":
             raise ValueError("custom signal needs custom_values")
         _check_unread_at_default(self, "signal")
@@ -96,8 +104,7 @@ class ProcessSpec:
     innovation_sd: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PROCESS_KINDS:
-            raise ValueError(f"unknown process kind {self.kind!r}")
+        check_kind(self.kind, "process")
         check_open(self.ar_phi, "ar_phi", -1, 1)
         check_open(self.innovation_sd, "innovation_sd", 0, np.inf)
         _check_unread_at_default(self, "process")

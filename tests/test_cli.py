@@ -68,6 +68,40 @@ def test_simulate_sidecar_config_replays_as_a_panel_block(tmp_path):
         assert json.loads((tmp_path / f"{name}_again.csv.meta.json").read_text())["config"] == config
 
 
+def _as_floats(block):
+    """block with every whole-number real as a float; counts and seeds stay."""
+    return {key: _as_floats(v) if isinstance(v, dict) else float(v) if isinstance(v, int) and key not in ("n", "m", "seed")
+            else v for key, v in block.items()}
+
+
+def test_whole_number_reals_draw_the_float_panel_and_echo_as_given(tmp_path):
+    # scenario reals reach the library unconverted: 1, 0, 2 and 4 draw the
+    # panel 1.0, 0.0, 2.0 and 4.0 draw, and the sidecar echoes them as given
+    plain = {"n": 6, "m": 8, "signal": {"kind": "signal1", "c1": 1, "c2": 2},
+             "process": {"kind": "ar1", "ar_phi": 0, "innovation_sd": 4}, "noise_sd": 1, "seed": 3}
+    calibrated = {"n": 6, "m": 8, "signal": {"kind": "signal2", "c3": 2}, "process": {"kind": "arima11", "ar_phi": 0},
+                  "calibration": {"sigma_star": 1, "snr": 4}, "seed": 3}
+    for name, block in (("plain", plain), ("calibrated", calibrated)):
+        paths = {}
+        for tag, panel in (("int", block), ("float", _as_floats(block))):
+            scen = tmp_path / f"{name}_{tag}.json"
+            scen.write_text(json.dumps({"panel": panel}))
+            paths[tag] = tmp_path / f"{name}_{tag}.csv"
+            assert _run("simulate", "--scenario", scen, "--out", paths[tag]) == 0
+        assert paths["int"].read_bytes() == paths["float"].read_bytes(), name
+        config = json.loads((tmp_path / f"{name}_int.csv.meta.json").read_text())["config"]
+        if name == "plain":
+            assert json.dumps(config, sort_keys=True) == json.dumps(block, sort_keys=True)
+        else:
+            # calibration derives noise_sd, c3 and innovation_sd, and echoes ar_phi as given
+            assert json.dumps(config["process"]["ar_phi"]) == "0"
+        replay = tmp_path / f"{name}_replay.json"
+        replay.write_text(json.dumps({"panel": config}))
+        again = tmp_path / f"{name}_again.csv"
+        assert _run("simulate", "--scenario", replay, "--out", again) == 0
+        assert again.read_bytes() == paths["int"].read_bytes(), name
+
+
 def test_simulate_large_panel_shape(tmp_path):
     out = tmp_path / "big.csv"
     assert _run("simulate", "--n", 400, "--m", 256, "--seed", 5, "--out", out) == 0
@@ -108,6 +142,16 @@ def test_panel_off_the_midpoint_design_exit1(tmp_path, capsys, design):
     for command in ("estimate", "band", "select"):
         assert _run(command, "--panel", ppath, "--out", tmp_path / "x") == 1
         assert "not the midpoint design" in capsys.readouterr().err
+
+
+def test_an_empty_panel_csv_is_one_clean_error(tmp_path, capsys):
+    # numpy's "loadtxt: input contained no data" warning escaped main's
+    # handler under -W error, and reached stderr otherwise
+    ppath = tmp_path / "empty.csv"
+    ppath.write_text("")
+    assert _run("estimate", "--panel", ppath, "--out", tmp_path / "est") == 1
+    assert capsys.readouterr().err == "error: panel CSV needs a grid row plus at least two curves\n"
+    assert not list(tmp_path.glob("est*"))
 
 
 def test_estimate_constant_panel_single_active(tmp_path):
@@ -523,10 +567,28 @@ def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
         ({"estimators": [{"basis_family": "fourier", "rule": "hard", "multiplier": True}]}, "multiplier"),
         ({"panel": {**calibrated, "calibration": {"sigma_star": True, "snr": 4.25}}}, "sigma_star"),
     )
+    # every real key takes its value to the library's check as given, which
+    # rejects these as the CLI's own number check once did
+    real_keys = (
+        ("noise_sd", lambda v: {"panel": {**_PANEL, "noise_sd": v}}),
+        ("c1", lambda v: {"panel": {**_PANEL, "signal": {"kind": "signal1", "c1": v}}}),
+        ("ar_phi", lambda v: {"panel": {**_PANEL, "process": {"kind": "ar1", "ar_phi": v}}}),
+        ("innovation_sd", lambda v: {"panel": {**_PANEL, "process": {"kind": "ar1", "innovation_sd": v}}}),
+        ("sigma_star", lambda v: {"panel": {**calibrated, "calibration": {"sigma_star": v, "snr": 4.25}}}),
+        ("snr", lambda v: {"panel": {**calibrated, "calibration": {"sigma_star": 1.0, "snr": v}}}),
+        ("multiplier", lambda v: {"estimators": [{"basis_family": "fourier", "rule": "hard", "multiplier": v}]}),
+        ("alpha", lambda v: {"estimators": [{"basis_family": "fourier", "rule": "hard", "alpha": v}]}),
+        ("band_alpha", lambda v: {"band_alpha": v}),
+        ("oracle_alpha", lambda v: {"oracle_alpha": v}),
+        ("oracle_delta", lambda v: {"oracle_delta": v}),
+    )
+    cases += tuple((top(bad), f"{key} must") for key, top in real_keys for bad in (None, [1], {}, float("nan")))
     for top, needle in cases:
         scen = _scenario_file(tmp_path, **top)
         assert _run("bench", "--scenario", scen, "--out", out) == 1, top
         assert needle in capsys.readouterr().err
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            scenario_from_dict(json.loads(scen.read_text()))
     # a scenario of panel and estimators alone takes every ScenarioConfig default
     bare = json.loads(_scenario_file(tmp_path).read_text())
     del bare["replicates"]
@@ -591,12 +653,23 @@ _CALIBRATED_PANEL = {k: v for k, v in _PANEL.items() if k != "noise_sd"}
     ({"panel": {**_CALIBRATED_PANEL, "process": {"kind": "ar1", "innovation_sd": 2.0}, "calibration": _CALIBRATION}},
      "innovation_sd"),
     ({"estimators": [{"basis_family": "fourier", "rule": "least_squares", "multiplier": 2}]}, "multiplier"),
+    # the spec was built before its block was checked: an unknown key raised a
+    # raw TypeError and a number custom_values "'float' object is not iterable";
+    # a list kind must meet check_kind before it can key KIND_PARAMS
+    ({"panel": {**_PANEL, "signal": {"kind": "signal1", "foo": 1}}}, "signal1 signal does not read key(s) ['foo']"),
+    ({"panel": {**_PANEL, "process": {"kind": "bb", "bar": 2}}}, "bb process does not read key(s) ['bar']"),
+    ({"panel": {**_PANEL, "process": {"kind": ["bb"]}}}, "unknown process kind ['bb']"),
+    ({"panel": {**_PANEL, "signal": {"kind": "custom", "custom_values": 3}}}, "custom_values must be "),
+    ({"panel": {**_PANEL, "signal": {"kind": "custom", "custom_values": "abc"}}}, "custom_values must be "),
 ], ids=["bb-ar_phi", "bm-innovation_sd", "signal1-c3", "signal2-c1", "signal2-c2", "custom-c1", "custom-c3",
-        "signal1-custom_values", "calibration-innovation_sd", "least_squares-multiplier"])
+        "signal1-custom_values", "calibration-innovation_sd", "least_squares-multiplier",
+        "signal1-foo", "bb-bar", "list-kind", "custom_values-number", "custom_values-string"])
 def test_scenario_keys_the_kind_ignores_exit1(tmp_path, capsys, top, needle):
     # simulate reads the panel block alone, bench the estimators too
     command = "bench" if "estimators" in top else "simulate"
     scen = _scenario_file(tmp_path, **top)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        scenario_from_dict(json.loads(scen.read_text()))
     out = tmp_path / "p.csv"
     assert _run(command, "--scenario", scen, "--out", out) == 1
     assert needle in capsys.readouterr().err

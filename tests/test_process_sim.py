@@ -3,6 +3,7 @@ paths, calibration, and theoretical coefficient variances, each against
 either a hand computation or an independent Monte-Carlo oracle."""
 
 import inspect
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,18 @@ def test_custom_signal_roundtrip_and_mismatch():
     assert_allclose(eval_signal(SignalSpec(kind="custom", custom_values=vals), g), vals)
     with pytest.raises(ValueError):
         eval_signal(SignalSpec(kind="custom", custom_values=(1.0, 2.0)), g)
+
+
+def test_custom_values_must_be_a_list_and_a_kind_a_name():
+    # custom_values=3 raised TypeError, and a string was read one character at a time
+    for values in (3, "abc", {"a": 1}, np.array(3.0), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="custom_values must be a list of grid values"):
+            SignalSpec(kind="custom", custom_values=values)
+    assert SignalSpec(kind="custom", custom_values=np.arange(3)) == SignalSpec(kind="custom", custom_values=[0, 1, 2])
+    for spec, family in ((SignalSpec, "signal"), (ProcessSpec, "process")):
+        for kind in (["bb"], None, "nope"):
+            with pytest.raises(ValueError, match=re.escape(f"unknown {family} kind {kind!r}")):
+                spec(kind=kind)
 
 
 def test_signal_cache_shares_equal_specs_and_stays_bounded():
