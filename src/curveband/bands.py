@@ -7,7 +7,9 @@ bands use sqrt(V(t)/n) times the Bonferroni normal quantile, with V
 either the known process variance or the sample variance across curves.
 Competitor bands are centered at the pooled least-squares mean, a
 substitution for the kernel-smoothed center that is out of scope here;
-reports carry a note saying so.
+reports carry a note saying so.  The replicated experiments share one
+truth (_truth: true coefficients and theoretical levels) and one band
+scorer (_score_bands, the one place V is chosen).
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from .estimator import (
     truncated_target,
 )
 from .grid_basis import BasisMatrix, analyze, basis_for, check_count, check_nonnegative, check_open, matvec
-from .process_sim import (
-    PanelConfig,
-    eval_signal,
-    generate_panel,
-    process_variance,
-    replicate_configs,
-    sigma_k_theoretical,
-)
+from .process_sim import PanelConfig, generate_panel, process_variance, replicate_configs, sigma_k_theoretical
 
 __all__ = [
     "ConfidenceBand",
@@ -198,13 +193,31 @@ def _failure(s: int, cfg: PanelConfig, exc: Exception) -> RuntimeError:
     return RuntimeError(f"replicate {s} failed (panel seed {cfg.seed}): {exc}")
 
 
-def _sum_in_order(values) -> float:
-    """Sum one replicate at a time, so the bits do not depend on how sum()
-    or numpy adds."""
-    total = 0.0
-    for v in values:
-        total += v
-    return float(total)
+def _truth(panel: PanelConfig, basis: BasisMatrix, alpha: float, delta: float = 0.0) -> tuple:
+    """The true coefficients of panel's mean on basis, and the theoretical
+    levels at alpha and delta: simulation only, for they read the process
+    covariance (a sigma_k cache entry per process and basis)."""
+    sigma_k = np.sqrt(sigma_k_theoretical(panel.process, basis))
+    return analyze(panel.f, basis), theoretical_levels(sigma_k, panel.noise_sd, panel.n, alpha, delta)
+
+
+def _score_bands(kinds, basis: BasisMatrix, stats: CoefficientStats, curve_var, process, target) -> list:
+    """Each kind's stacked band scored against target: (covered count, mean width).
+
+    The library's one choice of V: the known process variance for
+    competitor_theoretical, the pooled curve_var for competitor_sample_var.
+    Widths are summed one replicate at a time in seed order, so the bits do
+    not depend on how numpy adds.
+    """
+    scores = []
+    for kind in kinds:
+        variance = process_variance(process, basis.grid) if kind == "competitor_theoretical" else curve_var
+        band = _build_band(kind, basis, stats, variance)
+        width_sum = 0.0
+        for width in np.mean(2.0 * band.half_width, axis=-1):
+            width_sum += width
+        scores.append((int(np.sum(covers(band, target))), float(width_sum) / len(band.half_width)))
+    return scores
 
 
 def coverage_experiment(
@@ -234,28 +247,20 @@ def coverage_experiment(
     if band_kind in COMPETITOR_KINDS and target_kind == "true_mean" and delta != 0.0:
         raise ValueError(f"delta would be ignored: {band_kind} reads only alpha, and the true mean no level")
     basis = basis_for(basis_family, scenario.grid)
-    f = eval_signal(scenario.signal, scenario.grid)
     if target_kind == "true_mean":
-        target = f
+        target = scenario.f
     else:
-        sigma_k = np.sqrt(sigma_k_theoretical(scenario.process, basis))
-        levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha, delta)
-        mu = analyze(f, basis)
+        mu, levels = _truth(scenario, basis, alpha, delta)
         _, target = truncated_target(mu, 2.0 * levels.r_bar, basis)
-    process_var = process_variance(scenario.process, scenario.grid) if band_kind == "competitor_theoretical" else None
-    sample_var = band_kind == "competitor_sample_var"
 
     def score(pooled):
         p = pooled[basis_family]
-        return _build_band(band_kind, basis, pooled_stats(p, alpha, delta), p.curve_var if sample_var else process_var)
+        return _score_bands((band_kind,), basis, pooled_stats(p, alpha, delta), p.curve_var, scenario.process, target)[0]
 
-    # the band of every replicate, one row each in seed order
-    band = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score,
-                          var_family=basis_family if sample_var else None)
-    covered = int(np.sum(covers(band, target)))
-    width_sum = _sum_in_order(np.mean(2.0 * band.half_width, axis=-1))
+    covered, mean_width = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score,
+                                         var_family=basis_family if band_kind == "competitor_sample_var" else None)
     notes = (LS_CENTER_NOTE,) if band_kind in COMPETITOR_KINDS else ()
     return CoverageReport(
-        replicates=S, covered_count=covered, mean_width=width_sum / S,
+        replicates=S, covered_count=covered, mean_width=mean_width,
         target=target_kind, band_kind=band_kind, notes=notes,
     )

@@ -7,7 +7,8 @@ to the truncated target, an expected-risk bound for thresholding at
 known levels, and the coefficient-accuracy event that underlies all of
 them.  run_scenario ties everything into one deterministic benchmark
 report, scoring each estimator by the root mean and root median of its
-per-replicate squared grid-L2 errors.
+per-replicate squared grid-L2 errors; the truth and the band scores come
+from bands, as coverage_experiment's do.
 """
 
 from __future__ import annotations
@@ -17,23 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _build_band, _sum_in_order, covers, each_replicate, verdict
-from .estimator import (
-    CoefficientStats,
-    TheoreticalLevels,
-    fit,
-    pooled_stats,
-    theoretical_levels,
-    truncated_target,
-)
-from .grid_basis import analyze, basis_for, check_count, check_family, check_nonnegative, check_open, check_seed
-from .process_sim import (
-    PanelConfig,
-    eval_signal,
-    process_variance,
-    replicate_configs,
-    sigma_k_theoretical,
-)
+from .bands import BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _score_bands, _truth, each_replicate, verdict
+from .estimator import CoefficientStats, TheoreticalLevels, fit, pooled_stats, truncated_target
+from .grid_basis import basis_for, check_count, check_family, check_nonnegative, check_open, check_seed
+from .process_sim import PanelConfig, replicate_configs, sigma_k_theoretical
 from .selector import CandidateSpec
 
 __all__ = [
@@ -174,10 +162,8 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     check_count(S, "S", 2)  # for thm3's MC standard error
     check_open(alpha, "alpha", 0, 1)
     basis = basis_for(basis_family, scenario.grid)
-    f = eval_signal(scenario.signal, scenario.grid)
-    mu = analyze(f, basis)
+    mu, levels = _truth(scenario, basis, alpha)
     sigma_k = np.sqrt(sigma_k_theoretical(scenario.process, basis))
-    levels = theoretical_levels(sigma_k, scenario.noise_sd, scenario.n, alpha)
     _, target = truncated_target(mu, levels.r_k, basis)
 
     def sq_error(pooled):
@@ -205,7 +191,6 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     """
     template = config.panel
     S = config.replicates
-    f = eval_signal(template.signal, template.grid)
 
     families = {c.basis_family for c in config.estimators}
     if config.bands or config.oracle_checks:
@@ -214,12 +199,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     band_basis = bases.get(config.band_basis_family)
 
     if config.oracle_checks:
-        mu_true = analyze(f, band_basis)
-        sigma_k = np.sqrt(sigma_k_theoretical(template.process, band_basis))
-        oracle_levels = theoretical_levels(
-            sigma_k, template.noise_sd, template.n, config.oracle_alpha, config.oracle_delta,
-        )
-    process_var = process_variance(template.process, template.grid) if "competitor_theoretical" in config.bands else None
+        mu_true, oracle_levels = _truth(template, band_basis, config.oracle_alpha, config.oracle_delta)
     var_family = config.band_basis_family if "competitor_sample_var" in config.bands else None
 
     def score(pooled):
@@ -231,12 +211,11 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         for cand in config.estimators:
             stats = stats_for(cand.basis_family, cand.alpha, 0.0)
             est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
-            errs.append(np.mean((est.values - f) ** 2, axis=-1))
-        bands = [
-            _build_band(kind, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0),
-                        pooled[var_family].curve_var if kind == "competitor_sample_var" else process_var)
-            for kind in config.bands
-        ]
+            errs.append(np.mean((est.values - template.f) ** 2, axis=-1))
+        bands = _score_bands(
+            config.bands, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0),
+            pooled[config.band_basis_family].curve_var, template.process, template.f,
+        ) if config.bands else []
         hits = {}
         if config.oracle_checks:
             ostats = stats_for(config.band_basis_family, config.oracle_alpha, config.oracle_delta)
@@ -245,9 +224,9 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
             hits["thm2"] = np.logical_and(*oracle_check_thm2(ostats, band_basis, oracle_levels, mu_true))
         return errs, bands, hits
 
-    # each estimator's squared errors, each band and each oracle check's
-    # hits, every one stacked over the replicates in seed order
-    est_errs, bands, oracle_hits = each_replicate(template, config.base_seed, S, bases, score, var_family=var_family)
+    # each estimator's squared errors and each oracle check's hits, stacked
+    # over the replicates in seed order, and each band's score
+    est_errs, band_scores, oracle_hits = each_replicate(template, config.base_seed, S, bases, score, var_family=var_family)
 
     pass_rates = {}
     provenance = {
@@ -279,8 +258,8 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         sqrt_emse=tuple(float(np.sqrt(np.mean(row))) for row in est_errs),
         sqrt_medmse=tuple(float(np.sqrt(np.median(row))) for row in est_errs),
         band_kinds=tuple(config.bands),
-        coverage=tuple(int(np.sum(covers(band, f))) / S for band in bands),
-        mean_width=tuple(_sum_in_order(np.mean(2.0 * band.half_width, axis=-1)) / S for band in bands),
+        coverage=tuple(covered / S for covered, _ in band_scores),
+        mean_width=tuple(width for _, width in band_scores),
         oracle_pass_rates=pass_rates,
         provenance=provenance,
     )

@@ -112,18 +112,23 @@ class ProcessSpec:
 
 @dataclass(frozen=True, eq=False)
 class PanelConfig:
+    """One simulated panel; f, its mean on the grid, is derived once and
+    read-only, so a custom signal that does not fit the grid fails here."""
+
     n: int
     grid: Grid
     signal: SignalSpec
     process: ProcessSpec
     noise_sd: float
     seed: int
+    f: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # n >= 2 so the coefficient sample SD downstream is defined
         check_count(self.n, "n", 2)
         check_nonnegative(self.noise_sd, "noise_sd")
         check_seed(self.seed, "seed")
+        object.__setattr__(self, "f", _cached_signal(self.signal, self.grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +173,7 @@ def eval_signal(spec: SignalSpec, grid: Grid) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _cached_signal(signal: SignalSpec, grid: Grid) -> np.ndarray:
     """eval_signal for up to eight (signal, m) pairs, read-only, for
-    generate_panel: a scenario runner draws every panel of a run from one
+    PanelConfig.f: a scenario runner builds every panel of a run from one
     signal and cycles through four calibrated ones."""
     values = eval_signal(signal, grid)
     values.setflags(write=False)
@@ -296,10 +301,9 @@ def generate_panel(config: PanelConfig) -> CurvePanel:
     Y = f + N U, with U that covariance's upper Cholesky factor.
     """
     grid = config.grid
-    f = _cached_signal(config.signal, grid)
     rng = np.random.default_rng(config.seed)
     Y = rng.standard_normal((config.n, grid.m)) @ _cholesky_t(config.process, config.noise_sd, grid)
-    Y += f  # in place: N U + f is f + N U bit for bit
+    Y += config.f  # in place: N U + f is f + N U bit for bit
     return CurvePanel(Y)
 
 

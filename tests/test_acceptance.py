@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 from curveband.grid_basis import (
     check_orthonormality,
@@ -33,7 +32,6 @@ from curveband.process_sim import (
 from curveband.estimator import (
     CoefficientStats,
     fit,
-    normal_quantile,
     per_curve_coeffs,
     pooled_stats,
     sparsity_report,

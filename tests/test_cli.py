@@ -758,6 +758,22 @@ def test_select_checks_the_panel_block_it_does_not_read(tmp_path, capsys):
     assert not list(tmp_path.glob("out.csv*"))
 
 
+def test_a_custom_signal_that_does_not_fit_the_grid_is_rejected_at_every_entry(tmp_path, capsys):
+    # select and band once accepted the block, since only a drawn panel read its length
+    message = "custom signal length (5,) does not match m=16"
+    ppath = tmp_path / "p.csv"
+    write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
+    scen = _scenario_file(tmp_path, panel={**_PANEL, "signal": {"kind": "custom", "custom_values": [0.0] * 5}})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scenario_from_dict(json.loads(scen.read_text()))
+    out = tmp_path / "out.csv"
+    for argv in (("simulate",), ("bench",), ("band", "--panel", ppath, "--kind", "competitor_theoretical"),
+                 ("select", "--panel", ppath)):
+        assert _run(*argv, "--scenario", scen, "--out", out) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert not list(tmp_path.glob("out.csv*"))
+
+
 def test_each_command_builds_a_calibrated_scenario_once(tmp_path, monkeypatch):
     # a pre-walk once built the signal and process specs only to drop them,
     # so simulate, band and bench built each twice

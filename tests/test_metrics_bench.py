@@ -5,12 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-import curveband.metrics_bench as mb
 from curveband import bands, process_sim
 from curveband.bands import coverage_experiment
-from curveband.grid_basis import analyze, fourier_basis, make_grid, synthesize
+from curveband.grid_basis import analyze, fourier_basis, make_grid
 from curveband.process_sim import (
     CurvePanel,
     PanelConfig,
@@ -193,6 +191,25 @@ def test_thm3_rejects_a_bad_alpha_before_it_reads_sigma_k():
         with pytest.raises(ValueError, match=r"^alpha must be in \(0,1\)"):
             oracle_check_thm3(cfg, 2, alpha=bad)
     assert process_sim._cached_sigma_k.cache_info().misses == misses
+
+
+def test_the_truth_is_read_only_where_a_level_is():
+    # processes no other test uses, so every sigma_k read would be a cache miss
+    cfg = PanelConfig(n=10, grid=make_grid(16), signal=SignalSpec(), process=ProcessSpec(kind="ar1", ar_phi=0.234),
+                      noise_sd=0.1, seed=0)
+    scen = ScenarioConfig(panel=replace(cfg, process=ProcessSpec(kind="ar1", ar_phi=0.235)),
+                          estimators=(CandidateSpec("fourier", "hard", 1),), bands=bands.BAND_KINDS, replicates=2)
+    misses = process_sim._cached_sigma_k.cache_info().misses
+    for kind in bands.BAND_KINDS:
+        coverage_experiment(cfg, kind, S=2, target_kind="true_mean")
+    run_scenario(scen)
+    assert process_sim._cached_sigma_k.cache_info().misses == misses
+    # one entry per basis, read again by every kind and by thm3
+    for family in ("fourier", "haar"):
+        for kind in bands.BAND_KINDS:
+            coverage_experiment(cfg, kind, S=2, target_kind="truncated_target", basis_family=family)
+        run_scenario(replace(scen, band_basis_family=family, oracle_checks=True))
+    assert process_sim._cached_sigma_k.cache_info().misses == misses + 4
 
 
 def _scenario(n=30, m=32, S=5, seed=123, bands=(), oracle=False, noise_sd=0.25,

@@ -92,11 +92,28 @@ def test_eval_signal_returns_a_fresh_writable_array():
 
 
 def test_generate_panel_rejects_a_custom_signal_of_the_wrong_length():
-    cfg = PanelConfig(n=3, grid=make_grid(4), signal=SignalSpec(kind="custom", custom_values=(1.0, 2.0)),
-                      process=ProcessSpec(), noise_sd=0.1, seed=0)
     for _ in range(2):  # a failed evaluation is not cached
         with pytest.raises(ValueError, match=r"custom signal length \(2,\) does not match m=4"):
+            cfg = PanelConfig(n=3, grid=make_grid(4), signal=SignalSpec(kind="custom", custom_values=(1.0, 2.0)),
+                              process=ProcessSpec(), noise_sd=0.1, seed=0)
             generate_panel(cfg)
+
+
+def test_panel_config_rejects_a_custom_signal_that_does_not_fit_its_grid():
+    signal = SignalSpec(kind="custom", custom_values=(0.0,) * 5)
+    with pytest.raises(ValueError, match=re.escape("custom signal length (5,) does not match m=16")):
+        PanelConfig(n=3, grid=make_grid(16), signal=signal, process=ProcessSpec(), noise_sd=0.1, seed=0)
+    assert np.array_equal(PanelConfig(3, make_grid(5), signal, ProcessSpec(), 0.1, 0).f, np.zeros(5))
+
+
+def test_panel_config_mean_is_the_shared_read_only_signal():
+    cfg = PanelConfig(n=3, grid=make_grid(8), signal=SignalSpec(c1=0.31), process=ProcessSpec(), noise_sd=0.1, seed=0)
+    assert cfg.f is process_sim._cached_signal(cfg.signal, cfg.grid)
+    assert not cfg.f.flags.writeable
+    assert np.array_equal(cfg.f, eval_signal(cfg.signal, cfg.grid))
+    with pytest.raises(TypeError):
+        PanelConfig(3, make_grid(8), cfg.signal, ProcessSpec(), 0.1, 0, cfg.f)  # f is derived, not given
+    assert replace(cfg, seed=5).f is cfg.f
 
 
 def test_process_spec_validation():
