@@ -4,7 +4,7 @@ The adaptive bands center at a multiplier-1 threshold estimate and widen
 by sums of per-coefficient levels over the active set; the untruncated
 band drops the activity indicator; the asymptotic-normality competitor
 bands use sqrt(V(t)/n) times the Bonferroni normal quantile, with V
-either the known process variance or the sample variance across curves.
+either the known process variance or the curves' pointwise sample variance.
 Competitor bands are centered at the pooled least-squares mean, a
 substitution for the kernel-smoothed center that is out of scope here;
 reports carry a note saying so.  The replicated experiments share one
@@ -111,12 +111,6 @@ def verdict(hits: np.ndarray):
     return bool(hits) if hits.ndim == 0 else hits
 
 
-def curve_variance(per_curve: np.ndarray, basis: BasisMatrix) -> np.ndarray:
-    """competitor_sample_var's V: the sample variance across the curves
-    rebuilt from an n x m matrix of per-curve coefficients, at each grid point."""
-    return (per_curve @ basis.values.T).var(axis=-2, ddof=1)
-
-
 def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance=None) -> ConfidenceBand:
     """One band of the given kind from the pooled stats, at their alpha.
 
@@ -127,7 +121,7 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
     The competitor kinds center at the least-squares mean, with
     half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
     Bonferroni: V, given by the caller, is the known process variance for
-    competitor_theoretical and the curve_variance for competitor_sample_var.
+    competitor_theoretical and the curves' variance for competitor_sample_var.
     Stacked stats (and V) give a stacked band, one row per replicate.
     """
     if kind in _PROPOSED_BANDS:
@@ -152,26 +146,26 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
     return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
 
-def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, var_family=None):
+def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, curve_var=False):
     """What body makes of S replicates, stacked in seed order.
 
     Replicate s simulates template at the s-th replicate_configs seed and
-    pools its coefficients once per family in bases (keeping curve_variance
-    for var_family alone), so one replicate's n x m arrays are held at a
-    time.  body is called once, with each family mapped to its
-    PooledCoefficients over all S replicates.  A failure names the replicate
-    and its panel seed, from which that panel replays alone; a body that
-    raises is rerun one replicate at a time to find it.
+    pools its coefficients once per family in bases (with curve_var, every
+    row also keeps the curves' pointwise sample variance, taken once), so
+    one replicate's n x m arrays are held at a time.  body is called once,
+    with each family mapped to its PooledCoefficients over all S replicates.
+    A failure names the replicate and its panel seed, from which that panel
+    replays alone; a raising body is rerun one replicate at a time to find it.
     """
     configs = replicate_configs(template, base_seed, S)
     kept = {fam: [] for fam in bases}
     for s, cfg in enumerate(configs):
         try:
             panel = generate_panel(cfg)
+            var = (panel.Y.var(axis=0, ddof=1),) if curve_var else ()
             for fam, basis in bases.items():
-                pc = per_curve_coeffs(panel, basis)
-                p = pool(pc)
-                kept[fam].append((p.mu_hat, p.s_k) + ((curve_variance(pc, basis),) if fam == var_family else ()))
+                p = pool(per_curve_coeffs(panel, basis))
+                kept[fam].append((p.mu_hat, p.s_k) + var)
         except Exception as exc:
             raise _failure(s, cfg, exc) from exc
 
@@ -258,7 +252,7 @@ def coverage_experiment(
         return _score_bands((band_kind,), basis, pooled_stats(p, alpha, delta), p.curve_var, scenario.process, target)[0]
 
     covered, mean_width = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score,
-                                         var_family=basis_family if band_kind == "competitor_sample_var" else None)
+                                         curve_var=band_kind == "competitor_sample_var")
     notes = (LS_CENTER_NOTE,) if band_kind in COMPETITOR_KINDS else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=mean_width,

@@ -22,7 +22,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band, curve_variance
+from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band
 from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
 from .grid_basis import BASIS_FAMILIES, basis_for, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
@@ -102,18 +102,23 @@ def _block(block, known, where: str) -> dict:
 
 
 def candidates_from_dict(d: dict) -> tuple:
-    """The candidates in a scenario's estimators list; a bad entry is named as estimators[i]."""
+    """The candidates in a scenario's estimators list; a bad entry is named as
+    estimators[i].  Reports key candidates by label, so no two may share one."""
     block = d["estimators"]
     if not isinstance(block, list):
         raise ValueError(f"estimators must be a JSON list of objects, got {block!r}")
-    cands = []
+    cands, first = [], {}
     for i, entry in enumerate(block):
         where = f"estimators[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be a JSON object, got {entry!r}")
         check_keys(entry, _CANDIDATE_KEYS, where)
         _require(entry, ("basis_family", "rule"), where)
-        cands.append(CandidateSpec(**entry))
+        cand = CandidateSpec(**entry)
+        j = first.setdefault(cand.label(), i)
+        if j != i:
+            raise ValueError(f"{where} repeats the label {cand.label()} of estimators[{j}]")
+        cands.append(cand)
     return tuple(cands)
 
 
@@ -319,9 +324,8 @@ def cmd_band(args) -> int:
     delta = 0.0 if args.delta is None else args.delta
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
-    per_curve = per_curve_coeffs(panel, basis)
-    stats = pooled_stats(per_curve, args.alpha, delta)
-    variance = curve_variance(per_curve, basis) if args.kind == "competitor_sample_var" else None
+    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, delta)
+    variance = panel.Y.var(axis=0, ddof=1) if args.kind == "competitor_sample_var" else None
     if args.kind == "competitor_theoretical":
         if not args.scenario:
             raise ValueError("competitor_theoretical needs --scenario for the process covariance")
@@ -349,7 +353,7 @@ def cmd_sparsity(args) -> int:
     signal = SignalSpec(kind=args.signal)
     process = ProcessSpec(kind=args.process)
     sigma_k = np.sqrt(sigma_k_theoretical(process, basis))
-    levels = theoretical_levels(sigma_k, args.noise_sd, args.n, args.alpha, args.delta)
+    levels = theoretical_levels(sigma_k, args.noise_sd, args.n, args.alpha)
     report = sparsity_report(signal, basis, levels)
     payload = {
         "count": report.count,
@@ -358,8 +362,7 @@ def cmd_sparsity(args) -> int:
         "l2_error": report.l2_error,
         "config": {
             "signal": args.signal, "process": args.process, "basis": args.basis,
-            "m": args.m, "n": args.n, "alpha": args.alpha, "delta": args.delta,
-            "noise_sd": args.noise_sd,
+            "m": args.m, "n": args.n, "alpha": args.alpha, "noise_sd": args.noise_sd,
         },
     }
     _write_json(args.out, payload)
@@ -448,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--noise-sd", type=float, default=0.1)
     p.set_defaults(fn=cmd_sparsity)
 

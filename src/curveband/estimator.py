@@ -43,7 +43,7 @@ RULES = tuple(RULE_MULTIPLIERS)
 
 # Each basis coefficient's mean and SD over n curves: length-m vectors, or
 # (S, m) stacks with one row per replicate.  curve_var, where kept, is the
-# sample variance of the n reconstructed curves at each grid point.
+# sample variance of the n curves at each grid point.
 PooledCoefficients = namedtuple("PooledCoefficients", "n mu_hat s_k curve_var", defaults=(None,))
 
 

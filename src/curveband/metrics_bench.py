@@ -14,7 +14,7 @@ from bands, as coverage_experiment's do.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,6 +65,15 @@ class ScenarioConfig:
         check_open(self.band_alpha, "band_alpha", 0, 1)
         check_open(self.oracle_alpha, "oracle_alpha", 0, 1)
         check_nonnegative(self.oracle_delta, "oracle_delta")
+        # a setting the run does not read is an error away from its default
+        unread = {} if self.bands else {"band_alpha": "no bands are scored"}
+        if not self.oracle_checks:
+            unread.update(oracle_alpha="oracle_checks is off", oracle_delta="oracle_checks is off")
+            if not self.bands:
+                unread["band_basis_family"] = "there are neither bands nor oracle checks"
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} would be ignored: {unread[f.name]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +209,6 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
 
     if config.oracle_checks:
         mu_true, oracle_levels = _truth(template, band_basis, config.oracle_alpha, config.oracle_delta)
-    var_family = config.band_basis_family if "competitor_sample_var" in config.bands else None
 
     def score(pooled):
         @functools.cache
@@ -226,7 +234,8 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
 
     # each estimator's squared errors and each oracle check's hits, stacked
     # over the replicates in seed order, and each band's score
-    est_errs, band_scores, oracle_hits = each_replicate(template, config.base_seed, S, bases, score, var_family=var_family)
+    est_errs, band_scores, oracle_hits = each_replicate(template, config.base_seed, S, bases, score,
+                                                          curve_var="competitor_sample_var" in config.bands)
 
     pass_rates = {}
     provenance = {

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from curveband import bands
-from curveband.grid_basis import analyze, fourier_basis, make_grid
+from curveband import bands, cli_io
+from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, fourier_basis, make_grid
 from curveband.process_sim import (
     CurvePanel,
     PanelConfig,
@@ -31,7 +31,6 @@ from curveband.bands import (
     _build_band,
     coverage_experiment,
     covers,
-    curve_variance,
 )
 from curveband.metrics_bench import omega_event_check
 
@@ -170,14 +169,41 @@ def test_competitor_band_validation():
 def test_sample_variance_brute_force():
     rng = np.random.default_rng(14)
     b = fourier_basis(make_grid(8))
-    pc = rng.normal(size=(6, 8))
-    band = _build_band("competitor_sample_var", b, pooled_stats(pc, alpha=0.05), curve_variance(pc, b))
+    Y = rng.normal(size=(6, 8))
+    pc = per_curve_coeffs(CurvePanel(Y), b)
+    band = _build_band("competitor_sample_var", b, pooled_stats(pc, alpha=0.05), Y.var(axis=0, ddof=1))
     v = 6 * (band.half_width / normal_quantile(0.05 / 16.0)) ** 2
-    recon = pc @ b.values.T
     for j in range(8):
-        mean_j = recon[:, j].mean()
-        direct = np.sum((recon[:, j] - mean_j) ** 2) / 5.0
+        mean_j = Y[:, j].mean()
+        direct = np.sum((Y[:, j] - mean_j) ** 2) / 5.0
         assert abs(v[j] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("family", BASIS_FAMILIES)
+@pytest.mark.parametrize("m", [2, 3, 12, 64, 256])
+def test_rebuilt_curves_have_the_curves_variance(family, m):
+    # Phi Phi^T = m I on the midpoint design, so V needs no basis
+    Y = np.random.default_rng(m).normal(size=(9, m))
+    phi = basis_for(family, make_grid(m)).values
+    assert_allclose(((Y @ phi / m) @ phi.T).var(axis=0, ddof=1), Y.var(axis=0, ddof=1), rtol=1e-12)
+
+
+def test_sample_variance_band_is_the_same_on_every_basis(tmp_path, monkeypatch):
+    ppath = tmp_path / "p.csv"
+    cli_io.write_panel_csv(CurvePanel(Y=np.random.default_rng(26).normal(size=(40, 64))), str(ppath))
+    halves = []
+
+    def keep_half_width(*args):
+        band = _build_band(*args)
+        halves.append(band.half_width)
+        return band
+
+    monkeypatch.setattr(cli_io, "_build_band", keep_half_width)
+    for family in BASIS_FAMILIES:
+        argv = ["band", "--panel", str(ppath), "--kind", "competitor_sample_var", "--basis", family,
+                "--out", str(tmp_path / f"{family}.csv")]
+        assert cli_io.main(argv) == 0
+    assert_array_equal(halves[0], halves[1])
 
 
 def test_covers_semantics():

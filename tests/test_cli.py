@@ -350,6 +350,7 @@ def test_usage_errors_exit1_and_help_exit0(tmp_path, capsys):
     assert _run("estimate", "--seed", 5, "--panel", ppath, "--out", out) == 1
     assert _run("estimate", "--scenario", "s.json", "--panel", ppath, "--out", out) == 1
     assert _run("sparsity", "--seed", 5, "--out", out) == 1
+    assert _run("sparsity", "--delta", 0.5, "--out", out) == 1  # no delta moves the levels it reads
     assert _run("simulate", "--format", "json", "--out", out) == 1
     assert _run("estimate", "--bogus", "--panel", ppath, "--out", out) == 1
     assert _run("estimate", "--panel", ppath) == 1  # --out missing
@@ -566,6 +567,7 @@ def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
         ({"panel": {**_PANEL, "process": {"kind": "ar1", "ar_phi": "0.3"}}}, "ar_phi"),
         ({"estimators": [{"basis_family": "fourier", "rule": "hard", "multiplier": True}]}, "multiplier"),
         ({"panel": {**calibrated, "calibration": {"sigma_star": True, "snr": 4.25}}}, "sigma_star"),
+        ({"oracle_alpha": 0.3}, "oracle_alpha would be ignored: oracle_checks is off"),
     )
     # every real key takes its value to the library's check as given, which
     # rejects these as the CLI's own number check once did
@@ -730,13 +732,23 @@ def test_a_missing_scenario_block_is_named_where_it_is_read(tmp_path, capsys):
     ([{"rule": "hard"}], "estimators[0] is missing key(s) ['basis_family']"),
     ([{"basis_family": "fourier", "rule": "hard", "mult": 2}],
      "estimators[0] does not read key(s) ['mult']; it reads some of ['alpha', 'basis_family', 'multiplier', 'rule']"),
-], ids=["string-entry", "object-block", "no-rule", "no-basis_family", "unknown-key"])
+    # the report keys risks by label, and least_squares labels carry no alpha
+    ([{"basis_family": "fourier", "rule": "least_squares"},
+      {"basis_family": "fourier", "rule": "least_squares", "alpha": 0.1}],
+     "estimators[1] repeats the label fourier-ls of estimators[0]"),
+    ([{"basis_family": "haar", "rule": "hard"}, {"basis_family": "fourier", "rule": "hard"},
+      {"basis_family": "haar", "rule": "hard", "multiplier": 1.0}],
+     "estimators[2] repeats the label haar-ht1r-a0.05 of estimators[0]"),
+], ids=["string-entry", "object-block", "no-rule", "no-basis_family", "unknown-key", "repeated-ls-label",
+        "repeated-hard-label"])
 def test_a_malformed_estimators_block_is_named(tmp_path, capsys, estimators, message):
     # these printed Python internals, such as "dictionary update sequence
     # element #0 has length 1; 2 is required"
     ppath = tmp_path / "p.csv"
     write_panel_csv(CurvePanel(Y=np.random.default_rng(0).normal(size=(10, 16))), str(ppath))
     scen = _scenario_file(tmp_path, estimators=estimators)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scenario_from_dict(json.loads(scen.read_text()))
     out = tmp_path / "out.csv"
     for argv in (("select", "--panel", ppath), ("bench",)):
         assert _run(*argv, "--scenario", scen, "--out", out) == 1, argv

@@ -253,6 +253,16 @@ def test_scenario_config_validation():
         _scenario(S=1, oracle=True)
     with pytest.raises(ValueError, match="replicates >= 2"):
         replace(_scenario(S=2, oracle=True), replicates=1)
+    # a setting the run would not read was once taken silently, and echoed
+    for field, value, needs in (("oracle_alpha", 0.3, "oracle_checks"), ("oracle_delta", 0.9, "oracle_checks"),
+                                ("band_alpha", 0.5, "bands"), ("band_basis_family", "haar", "neither")):
+        with pytest.raises(ValueError, match=f"{field} would be ignored: .*{needs}"):
+            replace(base, **{field: value})
+        replace(base, **{field: getattr(base, field)})  # its default is accepted
+    replace(_scenario(S=2, oracle=True), oracle_alpha=0.3, oracle_delta=0.9, band_basis_family="haar")
+    replace(_scenario(bands=("proposed_hard1",)), band_alpha=0.5, band_basis_family="haar")
+    with pytest.raises(ValueError, match="oracle_alpha would be ignored"):
+        replace(_scenario(bands=("proposed_hard1",)), oracle_alpha=0.3)
 
 
 def test_run_scenario_single_replicate_echo():

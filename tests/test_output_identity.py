@@ -184,7 +184,7 @@ GOLDEN = {
                 '0x1.78c85aae52b7dp+1',
                 '0x1.6fa8907759410p+1',
                 '0x1.2199ae208bd04p-1',
-                '0x1.a56b9c962a378p-1',
+                '0x1.a56b9c962a376p-1',
             ],
             'oracle_pass_rates': {
                 'omega': '0x0.0p+0',
@@ -304,12 +304,12 @@ GOLDEN = {
         'true_mean': {
             'proposed_hard1': [5, '0x1.1664e3a917fd2p+1'],
             'proposed_soft2': [5, '0x1.997a7d8b68686p+1'],
-            'competitor_sample_var': [3, '0x1.56a2eb882c72dp+0'],
+            'competitor_sample_var': [3, '0x1.56a2eb882c72ap+0'],
         },
         'truncated_target': {
             'proposed_hard1': [5, '0x1.2fe07e8958042p+1'],
             'proposed_soft2': [5, '0x1.c729fe6a20ceep+1'],
-            'competitor_sample_var': [0, '0x1.56a2eb882c72dp+0'],
+            'competitor_sample_var': [0, '0x1.56a2eb882c72ap+0'],
         },
     },
     'generate_panel': {

@@ -14,7 +14,7 @@ import pytest
 
 import curveband.metrics_bench as mb
 from curveband import bands
-from curveband.bands import BAND_KINDS, _build_band, coverage_experiment, covers, curve_variance
+from curveband.bands import BAND_KINDS, _build_band, coverage_experiment, covers
 from curveband.estimator import fit, per_curve_coeffs, pooled_stats, theoretical_levels, truncated_target
 from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid
 from curveband.metrics_bench import (
@@ -105,7 +105,7 @@ def _reference_run(config):
         ])
         bstats = pooled_stats(coeffs[config.band_basis_family], config.band_alpha)
         for b, kind in enumerate(config.bands):
-            v = curve_variance(coeffs[config.band_basis_family], bb) if kind == "competitor_sample_var" else var
+            v = panel.Y.var(axis=0, ddof=1) if kind == "competitor_sample_var" else var
             band = _build_band(kind, bb, bstats, v)
             hits[b] += covers(band, f)
             widths[b] += float(np.mean(2.0 * band.half_width))
@@ -162,7 +162,7 @@ def test_coverage_experiment_equals_the_single_replicate_loop(panel, kind):
             covered, width = 0, 0.0
             for cfg in replicate_configs(panel, panel.seed, S):
                 pc = _coeffs(cfg, basis)
-                v = curve_variance(pc, basis) if kind == "competitor_sample_var" else var
+                v = generate_panel(cfg).Y.var(axis=0, ddof=1) if kind == "competitor_sample_var" else var
                 band = _build_band(kind, basis, pooled_stats(pc, 0.05), v)
                 covered += covers(band, target)
                 width += float(np.mean(2.0 * band.half_width))

@@ -1,5 +1,7 @@
 """Source hygiene: every module-level import in the package and its tests is
-read by its own file.  No linter is assumed; the check uses only ast."""
+read by its own file, and every module-level definition in the package is
+read by some package module or exported.  No linter is assumed; the checks
+use only ast."""
 
 import ast
 from pathlib import Path
@@ -7,21 +9,47 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "curveband").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "curveband").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+
+
+def exported(tree: ast.Module) -> set:
+    """The names a module's __all__ lists."""
+    return {
+        n.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for n in ast.walk(node.value) if isinstance(n, ast.Constant)
+    }
 
 
 def unread_imports(source: str) -> list:
     """Names a module-level import binds that the module never loads, apart
     from the names its __all__ exports."""
     tree = ast.parse(source)
-    bound, exported = set(), set()
+    bound = set()
     for node in tree.body:
         if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*")
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(bound - loaded - exported)
+    return sorted(bound - loaded - exported(tree))
+
+
+def unused_definitions(sources: list) -> list:
+    """Module-level functions, classes and constants of the sources that no
+    source loads, by name or as an attribute, and no __all__ lists.  An
+    import alone is no use: the name must be read after it."""
+    defined, used = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        used |= exported(tree)
+        used.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        used.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return sorted(name for name in defined - used if not name.startswith("__"))
 
 
 def test_the_check_finds_an_unread_import():
@@ -37,6 +65,30 @@ def test_the_check_finds_an_unread_import():
         "    return system.argv, numpy.linalg, e.x\n"
     )
     assert unread_imports(source) == ["c", "os"]
+
+
+def test_the_check_finds_an_unused_definition():
+    a = (
+        "__all__ = ['public']\n"
+        "LIMIT, _SPARE = 3, 4\n"
+        "TABLE: dict = {}\n"
+        "def public():\n"
+        "    return _helper() + LIMIT\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def orphan():\n"
+        "    return 2\n"
+        "class Thing:\n"
+        "    pass\n"
+        "class _Unused:\n"
+        "    pass\n"
+    )
+    b = "import a\nfrom a import Thing, orphan\nprint(a.TABLE, Thing)\n"
+    assert unused_definitions([a, b]) == ["_SPARE", "_Unused", "orphan"]
+
+
+def test_every_package_definition_is_read_or_exported():
+    assert unused_definitions([path.read_text(encoding="utf-8") for path in PACKAGE]) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
