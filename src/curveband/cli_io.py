@@ -24,7 +24,7 @@ import numpy as np
 
 from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band
 from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
-from .grid_basis import BASIS_FAMILIES, basis_for, make_grid
+from .grid_basis import BASIS_FAMILIES, basis_for, check_distinct, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
 from .process_sim import (
     KIND_PARAMS,
@@ -107,18 +107,15 @@ def candidates_from_dict(d: dict) -> tuple:
     block = d["estimators"]
     if not isinstance(block, list):
         raise ValueError(f"estimators must be a JSON list of objects, got {block!r}")
-    cands, first = [], {}
+    cands = []
     for i, entry in enumerate(block):
         where = f"estimators[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be a JSON object, got {entry!r}")
         check_keys(entry, _CANDIDATE_KEYS, where)
         _require(entry, ("basis_family", "rule"), where)
-        cand = CandidateSpec(**entry)
-        j = first.setdefault(cand.label(), i)
-        if j != i:
-            raise ValueError(f"{where} repeats the label {cand.label()} of estimators[{j}]")
-        cands.append(cand)
+        cands.append(CandidateSpec(**entry))
+    check_distinct([c.label() for c in cands], "estimators", "label")
     return tuple(cands)
 
 

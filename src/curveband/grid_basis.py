@@ -73,6 +73,15 @@ def check_family(value, name: str):
         raise ValueError(f"{name} must be one of {BASIS_FAMILIES}: unknown basis family {value!r}")
 
 
+def check_distinct(keys, name: str, what: str):
+    """No two entries of the list name share a key: reports tell rows apart by it."""
+    first = {}
+    for i, key in enumerate(keys):
+        j = first.setdefault(key, i)
+        if j != i:
+            raise ValueError(f"{name}[{i}] repeats the {what} {key} of {name}[{j}]")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Midpoint design on (0,1): points[j-1] = (j - 1/2)/m.  m fixes the

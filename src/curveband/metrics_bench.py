@@ -20,7 +20,7 @@ import numpy as np
 
 from .bands import BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _score_bands, _truth, each_replicate, verdict
 from .estimator import CoefficientStats, TheoreticalLevels, fit, pooled_stats, truncated_target
-from .grid_basis import basis_for, check_count, check_family, check_nonnegative, check_open, check_seed
+from .grid_basis import basis_for, check_count, check_distinct, check_family, check_nonnegative, check_open, check_seed
 from .process_sim import PanelConfig, replicate_configs, sigma_k_theoretical
 from .selector import CandidateSpec
 
@@ -58,9 +58,11 @@ class ScenarioConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators or not all(isinstance(c, CandidateSpec) for c in self.estimators):
             raise ValueError(f"estimators must be a nonempty tuple of CandidateSpecs, got {self.estimators!r}")
+        check_distinct([c.label() for c in self.estimators], "estimators", "label")
         if not isinstance(self.bands, (tuple, list)) or not all(kind in BAND_KINDS for kind in self.bands):
             raise ValueError(f"bands must be a tuple of kinds from {BAND_KINDS}, got {self.bands!r}")
         object.__setattr__(self, "bands", tuple(self.bands))
+        check_distinct(self.bands, "bands", "kind")
         check_family(self.band_basis_family, "band_basis_family")
         check_open(self.band_alpha, "band_alpha", 0, 1)
         check_open(self.oracle_alpha, "oracle_alpha", 0, 1)

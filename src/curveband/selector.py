@@ -16,7 +16,7 @@ from .estimator import check_rule, fit, per_curve_coeffs, pool, pooled_stats
 from .grid_basis import basis_for, check_family, check_open, check_seed
 from .process_sim import CurvePanel
 
-__all__ = ["CandidateSpec", "SelectionResult", "split_panel", "empirical_risk", "select"]
+__all__ = ["CandidateSpec", "SelectionResult", "split_panel", "select"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class CandidateSpec:
         check_family(self.basis_family, "basis_family")
         check_rule(self.rule, self.multiplier)
         check_open(self.alpha, "alpha", 0, 1)
+        if self.rule == "least_squares" and self.alpha != CandidateSpec.alpha:
+            raise ValueError("alpha would be ignored: least_squares has no threshold level")
 
     def label(self) -> str:
         if self.rule == "least_squares":
@@ -60,19 +62,6 @@ def split_panel(panel: CurvePanel, seed: int):
     return np.sort(perm[:n1]), np.sort(perm[n1:])
 
 
-def empirical_risk(panel: CurvePanel, indices: np.ndarray, g: np.ndarray) -> float:
-    """Held-out risk (1/|I|) sum_i (1/m) sum_j (Y_ij - g(t_j))^2."""
-    idx = np.asarray(indices)
-    if idx.size == 0:
-        raise ValueError("empirical risk needs a nonempty index set")
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= panel.n:
-        raise ValueError(f"indices must be a vector of whole numbers in [0, {panel.n}), got {indices!r}")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (panel.grid.m,):
-        raise ValueError(f"fitted values must have length {panel.grid.m}")
-    return float(np.mean((panel.Y[idx] - g) ** 2))
-
-
 def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
     """Fit every candidate on one half, pick the held-out risk minimizer."""
     candidates = list(candidates)
@@ -88,7 +77,8 @@ def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
     for cand in candidates:
         basis, p = pooled[cand.basis_family]
         fits.append(fit(cand.rule, pooled_stats(p, cand.alpha), basis, cand.multiplier).values)
-    risks = np.array([empirical_risk(panel, i2, g) for g in fits])
+    held_out = panel.Y[i2]
+    risks = np.array([np.mean((held_out - g) ** 2) for g in fits])
     winner_index = int(np.argmin(risks))
     return SelectionResult(
         winner=candidates[winner_index],

@@ -568,6 +568,7 @@ def test_bench_rejects_values_int_and_bool_would_bend(tmp_path, capsys):
         ({"estimators": [{"basis_family": "fourier", "rule": "hard", "multiplier": True}]}, "multiplier"),
         ({"panel": {**calibrated, "calibration": {"sigma_star": True, "snr": 4.25}}}, "sigma_star"),
         ({"oracle_alpha": 0.3}, "oracle_alpha would be ignored: oracle_checks is off"),
+        ({"bands": ["proposed_hard1", "proposed_hard1"]}, "bands[1] repeats the kind proposed_hard1 of bands[0]"),
     )
     # every real key takes its value to the library's check as given, which
     # rejects these as the CLI's own number check once did
@@ -732,15 +733,17 @@ def test_a_missing_scenario_block_is_named_where_it_is_read(tmp_path, capsys):
     ([{"rule": "hard"}], "estimators[0] is missing key(s) ['basis_family']"),
     ([{"basis_family": "fourier", "rule": "hard", "mult": 2}],
      "estimators[0] does not read key(s) ['mult']; it reads some of ['alpha', 'basis_family', 'multiplier', 'rule']"),
-    # the report keys risks by label, and least_squares labels carry no alpha
-    ([{"basis_family": "fourier", "rule": "least_squares"},
-      {"basis_family": "fourier", "rule": "least_squares", "alpha": 0.1}],
+    # the report keys risks by label
+    ([{"basis_family": "fourier", "rule": "least_squares"}, {"basis_family": "fourier", "rule": "least_squares"}],
      "estimators[1] repeats the label fourier-ls of estimators[0]"),
     ([{"basis_family": "haar", "rule": "hard"}, {"basis_family": "fourier", "rule": "hard"},
       {"basis_family": "haar", "rule": "hard", "multiplier": 1.0}],
      "estimators[2] repeats the label haar-ht1r-a0.05 of estimators[0]"),
+    # least_squares reads no level, so its label carries no alpha
+    ([{"basis_family": "fourier", "rule": "least_squares", "alpha": 0.1}],
+     "alpha would be ignored: least_squares has no threshold level"),
 ], ids=["string-entry", "object-block", "no-rule", "no-basis_family", "unknown-key", "repeated-ls-label",
-        "repeated-hard-label"])
+        "repeated-hard-label", "least_squares-alpha"])
 def test_a_malformed_estimators_block_is_named(tmp_path, capsys, estimators, message):
     # these printed Python internals, such as "dictionary update sequence
     # element #0 has length 1; 2 is required"

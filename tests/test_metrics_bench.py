@@ -1,6 +1,7 @@
 """Scores, good-event and risk-bound checks, and the scenario runner."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,16 @@ def test_scenario_config_validation():
     replace(_scenario(bands=("proposed_hard1",)), band_alpha=0.5, band_basis_family="haar")
     with pytest.raises(ValueError, match="oracle_alpha would be ignored"):
         replace(_scenario(bands=("proposed_hard1",)), oracle_alpha=0.3)
+    # the report tells its rows apart by label and by kind alone
+    hard = CandidateSpec("haar", "hard", 1)
+    with pytest.raises(ValueError, match=re.escape("estimators[2] repeats the label haar-ht1r-a0.05 of estimators[0]")):
+        _scenario(estimators=(hard, CandidateSpec("fourier", "hard", 1), CandidateSpec("haar", "hard", 1.0)))
+    with pytest.raises(ValueError, match=re.escape("estimators[1] repeats the label fourier-ls of estimators[0]")):
+        _scenario(estimators=[CandidateSpec("fourier", "least_squares")] * 2)
+    with pytest.raises(ValueError, match=re.escape("bands[1] repeats the kind proposed_hard1 of bands[0]")):
+        _scenario(bands=("proposed_hard1", "proposed_hard1"))
+    with pytest.raises(ValueError, match=re.escape("bands[2] repeats the kind untruncated_ls of bands[0]")):
+        _scenario(bands=["untruncated_ls", "proposed_soft2", "untruncated_ls"])
 
 
 def test_run_scenario_single_replicate_echo():

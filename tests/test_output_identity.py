@@ -45,7 +45,7 @@ SELECT_CANDIDATES = (
     CandidateSpec("haar", "hard", 2, alpha=0.1),
     CandidateSpec("fourier", "soft", 2, alpha=0.1),
     CandidateSpec("haar", "least_squares"),
-    CandidateSpec("fourier", "least_squares", alpha=0.1),
+    CandidateSpec("fourier", "least_squares"),
     CandidateSpec("haar", "soft", 1),
     CandidateSpec("fourier", "hard", 2, alpha=0.1),
     CandidateSpec("haar", "hard", 1, alpha=0.1),

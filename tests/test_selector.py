@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from curveband.grid_basis import fourier_basis, make_grid
+from curveband.grid_basis import basis_for, fourier_basis, make_grid
 from curveband.process_sim import (
     CurvePanel,
     PanelConfig,
@@ -14,7 +14,7 @@ from curveband.process_sim import (
     generate_panel,
 )
 from curveband.estimator import fit, per_curve_coeffs, pooled_stats
-from curveband.selector import CandidateSpec, empirical_risk, select, split_panel
+from curveband.selector import CandidateSpec, select, split_panel
 
 
 def _panel(n=8, m=16, seed=0, noise_sd=0.2):
@@ -41,6 +41,11 @@ def test_candidate_spec_validation_and_labels():
         CandidateSpec("fourier", "hard", multiplier=True)
     with pytest.raises(ValueError):
         CandidateSpec("fourier", "hard", 1, alpha=0.0)
+    # least squares keeps every coefficient, so an alpha away from the
+    # default would change nothing but the spec
+    assert CandidateSpec("fourier", "least_squares", alpha=0.05) == CandidateSpec("fourier", "least_squares")
+    with pytest.raises(ValueError, match="alpha would be ignored: least_squares has no threshold level"):
+        CandidateSpec("fourier", "least_squares", alpha=0.1)
 
 
 def test_split_n4():
@@ -79,39 +84,6 @@ def test_split_uniformity_mc():
     assert np.all(np.abs(freq - 0.5) < 0.02)
 
 
-def test_empirical_risk_zero_cases():
-    panel = CurvePanel(Y=np.zeros((4, 4)))
-    assert empirical_risk(panel, np.array([0, 1]), np.zeros(4)) == 0.0
-    row = np.array([1.0, -2.0, 3.0, 0.0])
-    panel2 = CurvePanel(Y=np.tile(row, (4, 1)))
-    assert empirical_risk(panel2, np.array([2]), row) == 0.0
-
-
-def test_empirical_risk_brute_force():
-    p = _panel(n=6, m=8, seed=3)
-    g = np.random.default_rng(2).normal(size=8)
-    idx = np.array([1, 3, 4])
-    direct = 0.0
-    for i in idx:
-        for j in range(8):
-            direct += (p.Y[i, j] - g[j]) ** 2 / 8.0
-    direct /= 3.0
-    assert empirical_risk(p, idx, g) == pytest.approx(direct, abs=1e-12)
-
-
-def test_empirical_risk_validation():
-    p = _panel(n=4, m=4)
-    with pytest.raises(ValueError):
-        empirical_risk(p, np.array([], dtype=int), np.zeros(4))
-    with pytest.raises(ValueError):
-        empirical_risk(p, np.array([0]), np.zeros(5))
-    # each of these once scored some curve, or raised IndexError: -1 the
-    # last, 0.5 curve 0, True curve 1
-    for indices in ([-1], [0.5], [True], [7], [[0, 1]]):
-        with pytest.raises(ValueError, match="indices"):
-            empirical_risk(p, indices, np.zeros(4))
-
-
 def test_select_single_candidate():
     p = _panel()
     cand = CandidateSpec("fourier", "hard", 1)
@@ -120,7 +92,32 @@ def test_select_single_candidate():
     assert res.winner_index == 0
     assert res.risks.shape == (1,)
     assert np.isfinite(res.risks[0])
-    assert res.risks[0] == empirical_risk(p, res.i2_indices, res.fitted_values)
+    assert res.risks[0] == np.mean((p.Y[res.i2_indices] - res.fitted_values) ** 2)
+
+
+def test_select_scores_every_candidate_on_the_held_out_curves():
+    p = _panel(n=11, m=16, seed=13)
+    cands = [
+        CandidateSpec("fourier", "hard", 1),
+        CandidateSpec("fourier", "soft", 2, alpha=0.1),
+        CandidateSpec("haar", "hard", 2),
+        CandidateSpec("haar", "least_squares"),
+    ]
+    res = select(p, cands, seed=5)
+    held_out = p.Y[res.i2_indices]
+    sub = CurvePanel(Y=p.Y[res.i1_indices])
+    for cand, risk in zip(cands, res.risks):
+        b = basis_for(cand.basis_family, p.grid)
+        st = pooled_stats(per_curve_coeffs(sub, b), alpha=cand.alpha)
+        g = fit(cand.rule, st, b, cand.multiplier).values
+        # bit for bit against the refit's grid risk
+        assert risk == np.mean((held_out - g) ** 2)
+        # and against the mean of (Y_ij - g(t_j))^2 over held-out i and grid j
+        direct = 0.0
+        for i in res.i2_indices:
+            for j in range(p.grid.m):
+                direct += (p.Y[i, j] - g[j]) ** 2
+        assert abs(risk - direct / (len(res.i2_indices) * p.grid.m)) < 1e-12
 
 
 def test_select_duplicates_tie_break_first():
@@ -155,8 +152,8 @@ def test_risk_shift_invariance():
     sub = CurvePanel(Y=p.Y[i1])
     st = pooled_stats(per_curve_coeffs(sub, b), alpha=0.05)
     fits = [fit("hard", st, b, 1).values, fit("hard", st, b, 2).values, st.mu_hat @ b.values.T]
-    base = np.array([empirical_risk(p, i2, g) for g in fits])
-    shift = np.array([empirical_risk(shifted_panel, i2, g + 5.0) for g in fits])
+    base = np.array([np.mean((p.Y[i2] - g) ** 2) for g in fits])
+    shift = np.array([np.mean((shifted_panel.Y[i2] - (g + 5.0)) ** 2) for g in fits])
     assert np.allclose(shift, base, rtol=1e-9)
     assert np.argmin(shift) == np.argmin(base)
 
@@ -183,8 +180,8 @@ def test_select_analyses_each_family_once(monkeypatch, m, analyses):
         return per_curve_coeffs(panel, basis)
 
     monkeypatch.setattr("curveband.selector.per_curve_coeffs", counted)
-    cands = [CandidateSpec(f, rule, 1, alpha) for alpha in (0.05, 0.1) for f in ("fourier", "haar")
-             for rule in ("hard", "soft", "least_squares")]
+    cands = [CandidateSpec(f, rule, 1, alpha) if rule != "least_squares" else CandidateSpec(f, rule)
+             for alpha in (0.05, 0.1) for f in ("fourier", "haar") for rule in ("hard", "soft", "least_squares")]
     res = select(_panel(n=9, m=m), cands, seed=3)
     assert len(calls) == analyses
     assert sorted(set(calls)) == ["fourier", "haar"][:analyses]
