@@ -114,7 +114,10 @@ def candidates_from_dict(d: dict) -> tuple:
             raise ValueError(f"{where} must be a JSON object, got {entry!r}")
         check_keys(entry, _CANDIDATE_KEYS, where)
         _require(entry, ("basis_family", "rule"), where)
-        cands.append(CandidateSpec(**entry))
+        try:
+            cands.append(CandidateSpec(**entry))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     check_distinct([c.label() for c in cands], "estimators", "label")
     return tuple(cands)
 

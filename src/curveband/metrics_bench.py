@@ -21,7 +21,7 @@ import numpy as np
 from .bands import BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _score_bands, _truth, each_replicate, verdict
 from .estimator import CoefficientStats, TheoreticalLevels, fit, pooled_stats, truncated_target
 from .grid_basis import basis_for, check_count, check_distinct, check_family, check_nonnegative, check_open, check_seed
-from .process_sim import PanelConfig, replicate_configs, sigma_k_theoretical
+from .process_sim import PanelConfig, _median, replicate_configs, sigma_k_theoretical
 from .selector import CandidateSpec
 
 __all__ = [
@@ -267,7 +267,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     return BenchReport(
         estimator_labels=tuple(c.label() for c in config.estimators),
         sqrt_emse=tuple(float(np.sqrt(np.mean(row))) for row in est_errs),
-        sqrt_medmse=tuple(float(np.sqrt(np.median(row))) for row in est_errs),
+        sqrt_medmse=tuple(float(np.sqrt(_median(row))) for row in est_errs),
         band_kinds=tuple(config.bands),
         coverage=tuple(covered / S for covered, _ in band_scores),
         mean_width=tuple(width for _, width in band_scores),

@@ -189,12 +189,18 @@ def covariance_matrix(process: ProcessSpec, grid: Grid) -> np.ndarray:
         return np.minimum.outer(t, t)
     phi = process.ar_phi
     var = process.innovation_sd**2 / (1.0 - phi**2)
-    idx = np.arange(grid.m)
-    ar_cov = var * phi ** np.abs(np.subtract.outer(idx, idx))
-    if process.kind == "ar1":
-        return ar_cov
-    # integrated AR(1): covariance of the running sums
-    return np.cumsum(np.cumsum(ar_cov, axis=0), axis=1)
+    lags = var * phi ** np.arange(grid.m)
+    # row i is lags[|i - j|] over j: windows of one 2m - 1 vector, copied
+    both = np.concatenate([lags[:0:-1], lags])
+    cov = np.lib.stride_tricks.sliding_window_view(both, grid.m)[::-1].copy()
+    if process.kind == "arima11":
+        # integrated AR(1): covariance of the running sums, down the columns
+        # a row at a time (np.cumsum along axis 0 walks each column through
+        # memory, several times slower at m=1024), then along the rows
+        for i in range(1, grid.m):
+            cov[i] += cov[i - 1]
+        np.cumsum(cov, axis=1, out=cov)
+    return cov
 
 
 @functools.lru_cache(maxsize=1)
@@ -233,6 +239,17 @@ def _cached_process_variance(process: ProcessSpec, grid: Grid) -> np.ndarray:
     return variance
 
 
+def _median(values) -> np.float64:
+    """np.median of a nonempty finite vector, bit for bit: the middle sorted
+    value, or the mean of the middle two, each summed from +0.0 as
+    np.median's mean sums them.  np.median imports numpy.ma on its first
+    call, which costs a fresh process more than every median it takes.
+    Private, but metrics_bench.run_scenario takes its medians from it too."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return s[k] + 0.0 if len(s) % 2 else (s[k - 1] + s[k] + 0.0) / 2.0
+
+
 @dataclass(frozen=True)
 class Calibration:
     noise_sd: float
@@ -247,13 +264,13 @@ def _match_innovation(process: ProcessSpec, grid: Grid) -> ProcessSpec:
     stationary variance is constant); arima11 matches Brownian motion's.
     """
     if process.kind == "ar1":
-        target = np.median(process_variance(ProcessSpec(kind="bb"), grid))
+        target = _median(process_variance(ProcessSpec(kind="bb"), grid))
         sd = np.sqrt(target * (1.0 - process.ar_phi**2))
         return replace(process, innovation_sd=float(sd))
     if process.kind == "arima11":
-        target = np.median(process_variance(ProcessSpec(kind="bm"), grid))
+        target = _median(process_variance(ProcessSpec(kind="bm"), grid))
         unit = replace(process, innovation_sd=1.0)
-        base_median = np.median(process_variance(unit, grid))
+        base_median = _median(process_variance(unit, grid))
         return replace(process, innovation_sd=float(np.sqrt(target / base_median)))
     return process
 
@@ -277,7 +294,7 @@ def calibrate(
     if process.innovation_sd != ProcessSpec.innovation_sd:
         raise ValueError(f"calibrate derives innovation_sd, so it must keep its default, got {process.innovation_sd}")
     process = _match_innovation(process, grid)
-    var_z = float(np.median(process_variance(process, grid)))
+    var_z = float(_median(process_variance(process, grid)))
     noise_sd = float(np.sqrt(var_z / sigma_star))
     values = eval_signal(signal, grid)
     rng_f = float(np.max(values) - np.min(values))

@@ -739,11 +739,14 @@ def test_a_missing_scenario_block_is_named_where_it_is_read(tmp_path, capsys):
     ([{"basis_family": "haar", "rule": "hard"}, {"basis_family": "fourier", "rule": "hard"},
       {"basis_family": "haar", "rule": "hard", "multiplier": 1.0}],
      "estimators[2] repeats the label haar-ht1r-a0.05 of estimators[0]"),
-    # least_squares reads no level, so its label carries no alpha
+    # least_squares reads no level, so its label carries no alpha; the
+    # candidate's own check names the entry too
     ([{"basis_family": "fourier", "rule": "least_squares", "alpha": 0.1}],
-     "alpha would be ignored: least_squares has no threshold level"),
+     "estimators[0]: alpha would be ignored: least_squares has no threshold level"),
+    ([{"basis_family": "haar", "rule": "hard"}, {"basis_family": "fourier", "rule": "least_squares", "multiplier": 2}],
+     "estimators[1]: threshold multiplier must be 1, got 2"),
 ], ids=["string-entry", "object-block", "no-rule", "no-basis_family", "unknown-key", "repeated-ls-label",
-        "repeated-hard-label", "least_squares-alpha"])
+        "repeated-hard-label", "least_squares-alpha", "least_squares-multiplier"])
 def test_a_malformed_estimators_block_is_named(tmp_path, capsys, estimators, message):
     # these printed Python internals, such as "dictionary update sequence
     # element #0 has length 1; 2 is required"

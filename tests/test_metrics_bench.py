@@ -1,7 +1,10 @@
 """Scores, good-event and risk-bound checks, and the scenario runner."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +322,25 @@ def test_run_scenario_medmse_bracketed_by_replicates():
         roots.append(np.sqrt(np.mean((fit("hard", st, b, 1).values - f) ** 2)))
     assert min(roots) <= rep.sqrt_medmse[0] <= max(roots)
     assert rep.sqrt_emse[0] == pytest.approx(np.sqrt(np.mean(np.square(roots))), abs=1e-12)
+
+
+def test_calibrating_and_running_a_scenario_leave_numpy_ma_unimported():
+    # np.median imports numpy.ma on its first call, about 13 ms of every
+    # fresh process that calibrates
+    src = os.path.dirname(os.path.dirname(process_sim.__file__))
+    child = f"""
+import sys
+sys.path.insert(0, {src!r})
+import curveband as cb
+grid = cb.make_grid(16)
+cal = cb.calibrate(cb.ProcessSpec(kind="arima11"), grid, 1.0, 1.5, cb.SignalSpec())
+panel = cb.PanelConfig(n=8, grid=grid, signal=cal.signal, process=cal.process, noise_sd=cal.noise_sd, seed=1)
+cb.run_scenario(cb.ScenarioConfig(panel=panel, estimators=(cb.CandidateSpec("fourier", "hard"),), replicates=2))
+print("numpy.ma" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_run_scenario_oracle_rates_reduced():

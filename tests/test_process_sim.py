@@ -305,17 +305,59 @@ def test_median_process_variance():
     assert np.median(process_variance(ProcessSpec(kind="ar1", ar_phi=0.5, innovation_sd=sd), g)) == pytest.approx(0.2)
 
 
+def _same_bits(a, b):
+    # compared as words, since array_equal would take -0.0 for 0.0
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 1024])
 @pytest.mark.parametrize("kind", ["bb", "bm", "ar1", "arima11"])
-def test_process_variance_is_the_covariance_diagonal(kind):
-    g = make_grid(64)
+def test_process_variance_is_the_covariance_diagonal(kind, m):
+    g = make_grid(m)
     p = _process(kind)
     process_sim._cached_process_variance.cache_clear()
     miss = process_variance(p, g)
-    hit = process_variance(p, make_grid(64))
+    hit = process_variance(p, make_grid(m))
     assert hit is miss
-    assert np.array_equal(miss, np.diag(covariance_matrix(p, g)))
+    assert _same_bits(miss, np.diag(covariance_matrix(p, g)))
     # a copy: a view of the diagonal would keep the m x m matrix in the cache
     assert miss.base is None and not miss.flags.writeable
+
+
+def _lag_power_covariances(phi, sd, grid):
+    """The ar1 and arima11 covariances as covariance_matrix once built them,
+    from m^2 powers on an m x m lag matrix: the reference the lag layout
+    must repeat bit for bit."""
+    var = sd**2 / (1.0 - phi**2)
+    idx = np.arange(grid.m)
+    ar_cov = var * phi ** np.abs(np.subtract.outer(idx, idx))
+    return {"ar1": ar_cov, "arima11": np.cumsum(np.cumsum(ar_cov, axis=0), axis=1)}
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 1024])
+def test_ar_covariance_matrix_repeats_the_lag_powers_bit_for_bit(m):
+    g = make_grid(m)
+    # an integer phi = 0, as scenario JSON may give it, must still yield floats
+    for phi in (0, 0.1, 0.5, -0.7, 0.999, 0.999999, -0.999999):
+        for sd in (1, 0.37, 2.0):
+            for kind, cov in _lag_power_covariances(phi, sd, g).items():
+                p = ProcessSpec(kind=kind, ar_phi=phi, innovation_sd=sd)
+                assert cov.dtype == np.float64
+                assert _same_bits(covariance_matrix(p, g), cov), (p, m)
+
+
+def test_median_is_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for size in [*range(1, 40), 64, 1000, 1024, 1025]:
+        for _ in range(20):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 6)
+            assert _same_bits(process_sim._median(v), np.median(v)), v
+    # np.median's mean sums from +0.0, so signed zeros and the smallest
+    # subnormals come out as it gives them
+    edges = (-0.0, 0.0, 5e-324, -5e-324, 1.5, -2.25)
+    for size in (1, 2, 3, 4):
+        for v in np.stack(np.meshgrid(*[edges] * size), -1).reshape(-1, size):
+            assert _same_bits(process_sim._median(v), np.median(v)), v
 
 
 def test_calibrate_noise_level_bb():
