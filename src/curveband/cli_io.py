@@ -195,13 +195,13 @@ def read_panel_csv(path: str) -> CurvePanel:
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if rows.shape[0] < 3:
         raise ValueError("panel CSV needs a grid row plus at least two curves")
-    grid = make_grid(rows.shape[1])
-    tol = GRID_ROW_TOLERANCE / grid.m
-    off = np.flatnonzero(~(np.abs(rows[0] - grid.points) <= tol))
+    m = rows.shape[1]
+    points, tol = make_grid(m).points, GRID_ROW_TOLERANCE / m
+    off = np.flatnonzero(~(np.abs(rows[0] - points) <= tol))
     if off.size:
         j = off[0]
-        raise ValueError(f"panel CSV grid row is not the midpoint design (j - 1/2)/{grid.m}: "
-                         f"entry {j + 1} is {rows[0, j]!r}, not {grid.points[j]!r} within {tol:.3g}")
+        raise ValueError(f"panel CSV grid row is not the midpoint design (j - 1/2)/{m}: "
+                         f"entry {j + 1} is {float(rows[0, j])!r}, not {float(points[j])!r} within {tol:.3g}")
     return CurvePanel(rows[1:])
 
 

@@ -30,8 +30,8 @@ __all__ = [
 BASIS_FAMILIES = ("fourier", "haar")
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -85,21 +85,17 @@ def check_distinct(keys, name: str, what: str):
 @dataclass(frozen=True)
 class Grid:
     """Midpoint design on (0,1): points[j-1] = (j - 1/2)/m.  m fixes the
-    design, so grids compare and hash by m alone."""
+    design, so a grid holds m alone, compares and hashes by it, and computes
+    its points afresh, writable, on each read."""
 
     m: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_count(self.m, "m", 2)
-        object.__setattr__(self, "points", _midpoints(self.m))
 
-
-@functools.lru_cache(maxsize=8)
-def _midpoints(m: int) -> np.ndarray:
-    """The read-only points of every m-point grid, shared: each panel
-    derives its own Grid, and one vector per m serves them all."""
-    return _frozen_array((np.arange(1, m + 1) - 0.5) / m)
+    @property
+    def points(self) -> np.ndarray:
+        return (np.arange(1, self.m + 1) - 0.5) / self.m
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,15 +130,20 @@ def test_panel_csv_roundtrip_lossless(tmp_path):
     assert read_panel_csv(str(printed)).grid == make_grid(1999)
 
 
-@pytest.mark.parametrize("design", [np.linspace(0.01, 0.99, 16), np.arange(1, 17) / 17.0])
-def test_panel_off_the_midpoint_design_exit1(tmp_path, capsys, design):
+@pytest.mark.parametrize("design, first", [(np.linspace(0.01, 0.99, 16), "0.01"),
+                                           (np.arange(1, 17) / 17.0, "0.058823529411764705")])
+def test_panel_off_the_midpoint_design_exit1(tmp_path, capsys, design, first):
     # every basis is orthonormal only on (j - 1/2)/m; these rows were read
-    # as given, so estimate, band and select exited 0 on them
+    # as given, so estimate, band and select exited 0 on them.  The message
+    # quotes plain floats, not numpy reprs such as np.float64(0.01)
     ppath = tmp_path / "p.csv"
     np.savetxt(ppath, np.vstack([design, np.random.default_rng(0).normal(size=(4, 16))]),
                fmt="%.17g", delimiter=",")
-    with pytest.raises(ValueError, match="midpoint design .* entry 1 is"):
+    message = (f"panel CSV grid row is not the midpoint design (j - 1/2)/16: "
+               f"entry 1 is {first}, not 0.03125 within 6.25e-05")
+    with pytest.raises(ValueError) as info:
         read_panel_csv(str(ppath))
+    assert str(info.value) == message
     for command in ("estimate", "band", "select"):
         assert _run(command, "--panel", ppath, "--out", tmp_path / "x") == 1
         assert "not the midpoint design" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -40,15 +41,16 @@ def test_make_grid_m256_first_point():
     assert g.points[0] == 1.0 / 512.0
 
 
-def test_grids_of_one_m_share_one_read_only_points_vector():
-    # each panel derives its Grid, so the points are built once per m
-    first, again = Grid(24), make_grid(24)
-    assert again.points is first.points and not first.points.flags.writeable
-    assert np.array_equal(first.points, (np.arange(1, 25) - 0.5) / 24)
-    for m in range(2, 30):
-        Grid(m)
-    info = grid_basis._midpoints.cache_info()
-    assert info.currsize == info.maxsize == 8
+@pytest.mark.parametrize("m", [2, 3, 24, 1000, 1024])
+def test_a_grid_holds_only_m_and_computes_its_points_on_each_read(m):
+    assert [f.name for f in dataclasses.fields(Grid)] == ["m"]
+    grid = Grid(m)
+    expected = (np.arange(1, m + 1) - 0.5) / m
+    assert grid.points.tobytes() == expected.tobytes()
+    # each read is a fresh array, so writing into one leaves the next as it was
+    first = grid.points
+    first[0] = 0.9
+    assert grid.points.tobytes() == expected.tobytes()
 
 
 def test_make_grid_rejects_small_m():
@@ -257,5 +259,7 @@ def test_basis_matrices_are_frozen():
     b = fourier_basis(make_grid(8))
     with pytest.raises(ValueError):
         b.values[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        b.grid.points[0] = 0.9
+    # a grid's points are computed on each read, so a write changes no basis
+    points = b.grid.points
+    points[0] = 0.9
+    assert_array_equal(b.grid.points, (np.arange(1, 9) - 0.5) / 8)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curveband import bands, process_sim
+from curveband import bands, grid_basis, process_sim
 from curveband.bands import coverage_experiment
 from curveband.grid_basis import analyze, fourier_basis, make_grid
 from curveband.process_sim import (
@@ -449,6 +449,33 @@ def test_every_replicated_experiment_draws_the_replicate_seeds_through_bands(mon
     seeds.clear()
     oracle_check_thm3(seeded, 3)
     assert seeds == want
+
+
+def test_warm_replicated_runs_read_no_grid_points(monkeypatch):
+    # a grid computes its points on each read, which pays only while no
+    # replicate reads them: once every cache is warm, a run with oracle
+    # checks, every band kind and both families, and a coverage experiment
+    # per target, read Grid.points zero times
+    estimators = tuple(CandidateSpec(family, rule, 1) for family in ("fourier", "haar")
+                       for rule in ("hard", "soft", "least_squares"))
+    cfg = _scenario(m=64, S=3, bands=bands.BAND_KINDS, oracle=True, estimators=estimators)
+    seeded = replace(cfg.panel, seed=cfg.base_seed)
+
+    def runs():
+        run_scenario(cfg)
+        for target in ("true_mean", "truncated_target"):
+            coverage_experiment(seeded, "proposed_hard3", 3, target_kind=target)
+
+    runs()
+    reads, real = [], grid_basis.Grid.points
+
+    def counted(grid):
+        reads.append(grid.m)
+        return real.fget(grid)
+
+    monkeypatch.setattr(grid_basis.Grid, "points", property(counted))
+    runs()
+    assert reads == []
 
 
 def test_bench_report_validation():

@@ -1,9 +1,11 @@
 """Source hygiene: every module-level import in the package and its tests is
-read by its own file, and every module-level definition in the package is
-read by some package module or exported.  No linter is assumed; the checks
+read by its own file, every module-level definition in the package is read
+by some package module or exported, and every default of an unexported
+package function is passed by some call.  No linter is assumed; the checks
 use only ast."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,36 @@ def unused_definitions(sources: list) -> list:
     return sorted(name for name in defined - used if not name.startswith("__"))
 
 
+def unpassed_defaults(sources: list) -> list:
+    """Defaulted parameters of module-level functions that no __all__ lists
+    and that no call in the sources passes, by position or by keyword, as
+    "function.parameter": a default that no call overrides is a knob nothing
+    turns.  Calls match by name, plain or as an attribute; *args passes
+    every positional parameter and **kwargs every parameter."""
+    trees = list(map(ast.parse, sources))
+    public = set().union(*map(exported, trees))
+    positional, keywords = {}, {}  # per function name: most positional arguments, keywords
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+        positional[name] = max(positional.get(name, 0), count)
+        keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name in public:
+                continue
+            args = node.args
+            ordered = [*args.posonlyargs, *args.args]
+            first = len(ordered) - len(args.defaults)
+            defaulted = [(i, arg) for i, arg in enumerate(ordered) if i >= first]
+            defaulted += [(math.inf, arg) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            given, named = positional.get(node.name, 0), keywords.get(node.name, set())
+            found += [f"{node.name}.{arg.arg}" for i, arg in defaulted
+                      if i >= given and not named & {arg.arg, None}]
+    return sorted(found)
+
+
 def test_the_check_finds_an_unread_import():
     source = (
         "from __future__ import annotations\n"
@@ -85,6 +117,28 @@ def test_the_check_finds_an_unused_definition():
     )
     b = "import a\nfrom a import Thing, orphan\nprint(a.TABLE, Thing)\n"
     assert unused_definitions([a, b]) == ["_SPARE", "_Unused", "orphan"]
+
+
+def test_the_check_finds_an_unpassed_default():
+    a = (
+        "__all__ = ['public']\n"
+        "def public(x, flag=False):\n"
+        "    return _scale(x) + _shift(x, by=2) + _pair(*x) + _opts(**x)\n"
+        "def _scale(x, factor=1.0, *, clip=None):\n"
+        "    return x * factor\n"
+        "def _shift(x, by=0, wrap=True):\n"
+        "    return x + by\n"
+        "def _pair(a, b=1, c=2):\n"
+        "    return a + b + c\n"
+        "def _opts(a=0, *, b=1):\n"
+        "    return a + b\n"
+    )
+    b = "from a import _scale\nprint(_scale(3, 2.0))\n"
+    assert unpassed_defaults([a, b]) == ["_scale.clip", "_shift.wrap"]
+
+
+def test_every_default_of_an_unexported_package_function_is_passed():
+    assert unpassed_defaults([path.read_text(encoding="utf-8") for path in PACKAGE]) == []
 
 
 def test_every_package_definition_is_read_or_exported():
