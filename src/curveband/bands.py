@@ -5,15 +5,16 @@ by sums of per-coefficient levels over the active set; the untruncated
 band drops the activity indicator; the asymptotic-normality competitor
 bands use sqrt(V(t)/n) times the Bonferroni normal quantile, with V
 either the known process variance or the curves' pointwise sample variance.
-Competitor bands are centered at the pooled least-squares mean, a
-substitution for the kernel-smoothed center that is out of scope here;
-reports carry a note saying so.  The replicated experiments share one
+Competitor bands are centered at the least-squares mean, a substitution
+for the kernel-smoothed center that is out of scope here; reports carry a
+note saying so.  The replicated experiments share one
 truth (_truth: true coefficients and theoretical levels) and one band
 scorer (_score_bands, the one place V is chosen).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .estimator import (
     CoefficientStats,
     PooledCoefficients,
     fit,
+    moments,
     normal_quantile,
     per_curve_coeffs,
     pool,
@@ -52,6 +54,8 @@ COMPETITOR_KINDS = ("competitor_theoretical", "competitor_sample_var")
 
 BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", *COMPETITOR_KINDS)
 
+TARGET_KINDS = ("true_mean", "truncated_target")
+
 LS_CENTER_NOTE = "competitor bands centered at the pooled least-squares mean (kernel smoothing out of scope)"
 
 
@@ -63,11 +67,17 @@ class ConfidenceBand:
     alpha: float
 
     def __post_init__(self):
+        center = np.asarray(self.center, dtype=float)
         half = np.asarray(self.half_width, dtype=float)
-        if half.shape != np.shape(self.center):
+        if half.shape != center.shape:
             raise ValueError("half_width must have the shape of center")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
         if not np.all(np.isfinite(half) & (half >= 0.0)):
             raise ValueError("half_width must be finite and nonnegative")
+        check_open(self.alpha, "alpha", 0, 1)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "half_width", half)
 
     @property
     def lower(self) -> np.ndarray:
@@ -83,13 +93,20 @@ class CoverageReport:
     replicates: int
     covered_count: int
     mean_width: float
-    target: str  # "true_mean" | "truncated_target"
+    target: str  # one of TARGET_KINDS
     band_kind: str
     notes: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= self.covered_count <= self.replicates:
+        check_count(self.replicates, "replicates", 1)
+        check_count(self.covered_count, "covered_count", 0)
+        if self.covered_count > self.replicates:
             raise ValueError("covered_count must lie in [0, replicates]")
+        check_nonnegative(self.mean_width, "mean_width")
+        if self.target not in TARGET_KINDS:
+            raise ValueError(f"unknown target kind {self.target!r}")
+        if self.band_kind not in BAND_KINDS:
+            raise ValueError(f"unknown band kind {self.band_kind!r}")
 
     @property
     def coverage(self) -> float:
@@ -111,6 +128,11 @@ def verdict(hits: np.ndarray):
     return bool(hits) if hits.ndim == 0 else hits
 
 
+# What a competitor band reads of its stats: the least-squares
+# coefficients, n and alpha; it reads no spread.
+_CompetitorStats = namedtuple("_CompetitorStats", "mu_hat n alpha")
+
+
 def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance=None) -> ConfidenceBand:
     """One band of the given kind from the pooled stats, at their alpha.
 
@@ -122,6 +144,7 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
     half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
     Bonferroni: V, given by the caller, is the known process variance for
     competitor_theoretical and the curves' variance for competitor_sample_var.
+    They read only mu_hat, n and alpha of stats, so a _CompetitorStats does.
     Stacked stats (and V) give a stacked band, one row per replicate.
     """
     if kind in _PROPOSED_BANDS:
@@ -146,31 +169,40 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
     return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
 
-def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, curve_var=False):
+# The curves' pointwise mean and sample variance over n curves, each kept
+# only where read: (S, m) stacks, or None.
+CurveMoments = namedtuple("CurveMoments", "n mean var", defaults=(None, None))
+
+
+def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, curve_moments=0):
     """What body makes of S replicates, stacked in seed order.
 
-    Replicate s simulates template at the s-th replicate_configs seed and
-    pools its coefficients once per family in bases (with curve_var, every
-    row also keeps the curves' pointwise sample variance, taken once), so
-    one replicate's n x m arrays are held at a time.  body is called once,
-    with each family mapped to its PooledCoefficients over all S replicates.
-    A failure names the replicate and its panel seed, from which that panel
-    replays alone; a raising body is rerun one replicate at a time to find it.
+    Replicate s simulates template at the s-th replicate_configs seed.  It
+    analyses and pools its coefficients once per family in bases, the
+    families whose spread body reads, and keeps the curves' first
+    curve_moments pointwise moments (0: none, 1: the mean, 2: the mean and
+    the sample variance), taken once per panel.  So one replicate's n x m
+    arrays are held at a time.  body is called once, with each family
+    mapped to its PooledCoefficients and "curves" to the CurveMoments, over
+    all S replicates.  A failure names the replicate and its panel seed,
+    from which that panel replays alone; a raising body is rerun one
+    replicate at a time to find it.
     """
     configs = replicate_configs(template, base_seed, S)
-    kept = {fam: [] for fam in bases}
+    records = {fam: PooledCoefficients for fam in bases}
+    records["curves"] = CurveMoments
+    kept = {key: [] for key in records}
     for s, cfg in enumerate(configs):
         try:
             panel = generate_panel(cfg)
-            var = (panel.Y.var(axis=0, ddof=1),) if curve_var else ()
+            kept["curves"].append(moments(panel.Y, curve_moments))
             for fam, basis in bases.items():
-                p = pool(per_curve_coeffs(panel, basis))
-                kept[fam].append((p.mu_hat, p.s_k) + var)
+                kept[fam].append(pool(per_curve_coeffs(panel, basis))[1:])
         except Exception as exc:
             raise _failure(s, cfg, exc) from exc
 
     def stacked(rows: slice) -> dict:
-        return {fam: PooledCoefficients(template.n, *map(np.array, zip(*kept[fam][rows]))) for fam in bases}
+        return {key: record(template.n, *map(np.array, zip(*kept[key][rows]))) for key, record in records.items()}
 
     try:
         return body(stacked(slice(None)))
@@ -199,7 +231,7 @@ def _score_bands(kinds, basis: BasisMatrix, stats: CoefficientStats, curve_var, 
     """Each kind's stacked band scored against target: (covered count, mean width).
 
     The library's one choice of V: the known process variance for
-    competitor_theoretical, the pooled curve_var for competitor_sample_var.
+    competitor_theoretical, the curves' variance for competitor_sample_var.
     Widths are summed one replicate at a time in seed order, so the bits do
     not depend on how numpy adds.
     """
@@ -230,10 +262,15 @@ def coverage_experiment(
     theoretical widened levels, which is what the adaptive bands provably
     cover (this needs the process covariance, so simulation only).  Against
     the true mean a competitor kind reads no delta, so a nonzero one is an error.
+
+    A competitor band reads no coefficient spread, so its replicates are
+    not analysed curve by curve: analysis is linear and Phi^T Phi = m I, so
+    the mean curve's coefficients are the pooled least-squares means, up to
+    rounding, and the band centres at their synthesis.
     """
     if band_kind not in BAND_KINDS:
         raise ValueError(f"unknown band kind {band_kind!r}")
-    if target_kind not in ("true_mean", "truncated_target"):
+    if target_kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {target_kind!r}")
     check_open(alpha, "alpha", 0, 1)
     check_nonnegative(delta, "delta")
@@ -247,13 +284,22 @@ def coverage_experiment(
         mu, levels = _truth(scenario, basis, alpha, delta)
         _, target = truncated_target(mu, 2.0 * levels.r_bar, basis)
 
-    def score(pooled):
-        p = pooled[basis_family]
-        return _score_bands((band_kind,), basis, pooled_stats(p, alpha, delta), p.curve_var, scenario.process, target)[0]
+    competitor = band_kind in COMPETITOR_KINDS
 
-    covered, mean_width = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, score,
-                                         curve_var=band_kind == "competitor_sample_var")
-    notes = (LS_CENTER_NOTE,) if band_kind in COMPETITOR_KINDS else ()
+    def score(pooled):
+        curves = pooled["curves"]
+        if competitor:
+            stats = _CompetitorStats(analyze(curves.mean, basis), scenario.n, alpha)
+        else:
+            stats = pooled_stats(pooled[basis_family], alpha, delta)
+        return _score_bands((band_kind,), basis, stats, curves.var, scenario.process, target)[0]
+
+    # what the band reads of the curves: the mean for either competitor, and
+    # the variance too for competitor_sample_var
+    order = {"competitor_theoretical": 1, "competitor_sample_var": 2}.get(band_kind, 0)
+    covered, mean_width = each_replicate(scenario, scenario.seed, S, {} if competitor else {basis_family: basis},
+                                         score, curve_moments=order)
+    notes = (LS_CENTER_NOTE,) if competitor else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=mean_width,
         target=target_kind, band_kind=band_kind, notes=notes,

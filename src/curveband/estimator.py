@@ -42,9 +42,8 @@ RULES = tuple(RULE_MULTIPLIERS)
 
 
 # Each basis coefficient's mean and SD over n curves: length-m vectors, or
-# (S, m) stacks with one row per replicate.  curve_var, where kept, is the
-# sample variance of the n curves at each grid point.
-PooledCoefficients = namedtuple("PooledCoefficients", "n mu_hat s_k curve_var", defaults=(None,))
+# (S, m) stacks with one row per replicate.
+PooledCoefficients = namedtuple("PooledCoefficients", "n mu_hat s_k")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +111,27 @@ def pool(per_curve: np.ndarray) -> PooledCoefficients:
         raise ValueError("per-curve coefficients must be an n x m matrix")
     n = pc.shape[-2]
     check_count(n, "n", 2)  # for the coefficient sample SD
-    # mean and std(ddof=1) by the ufunc calls numpy's own make, bit for bit,
-    # with the SD taken about this mean instead of a second one
-    mu = pc.sum(axis=-2) / n
-    dev = pc - mu[..., None, :]
+    mu, var = moments(pc, 2)
+    return PooledCoefficients(n, mu, np.sqrt(var))
+
+
+def moments(rows: np.ndarray, order: int) -> tuple:
+    """The first order (0, 1 or 2) moments of each column over the n rows
+    of an n x m matrix, or of each matrix of a (..., n, m) stack: (),
+    (mean,) or (mean, sample variance).
+
+    mean and var(ddof=1) by the ufunc calls numpy's own make, bit for bit,
+    with the variance taken about this mean instead of a second one.
+    """
+    if order == 0:
+        return ()
+    n = rows.shape[-2]
+    mean = rows.sum(axis=-2) / n
+    if order == 1:
+        return (mean,)
+    dev = rows - mean[..., None, :]
     dev *= dev
-    return PooledCoefficients(n, mu, np.sqrt(dev.sum(axis=-2) / (n - 1)))
+    return mean, dev.sum(axis=-2) / (n - 1)
 
 
 def pooled_stats(per_curve, alpha: float, delta: float = 0.0) -> CoefficientStats:

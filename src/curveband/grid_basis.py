@@ -190,11 +190,12 @@ def _cached_basis(family: str, grid: Grid) -> BasisMatrix:
 
 
 def analyze(values: np.ndarray, basis: BasisMatrix) -> np.ndarray:
-    """Coefficients c_k = (1/m) sum_j values_j phi_k(t_j)."""
+    """Coefficients c_k = (1/m) sum_j values_j phi_k(t_j), over the last
+    axis of values, so a (..., m) stack gives one vector per row."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (basis.m,):
+    if v.ndim < 1 or v.shape[-1] != basis.m:
         raise ValueError(f"expected vector of length {basis.m}, got shape {v.shape}")
-    return basis.values.T @ v / basis.m
+    return matvec(basis.values.T, v) / basis.m
 
 
 def synthesize(coeffs: np.ndarray, basis: BasisMatrix) -> np.ndarray:

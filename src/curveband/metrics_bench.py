@@ -90,11 +90,12 @@ class BenchReport:
     provenance: dict
 
     def __post_init__(self):
-        if any(v < 0 for v in self.sqrt_emse):
-            raise ValueError("sqrt_emse must be nonnegative")
-        for rate in self.oracle_pass_rates.values():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("oracle pass rates must lie in [0,1]")
+        for name in ("sqrt_emse", "sqrt_medmse", "mean_width"):
+            for value in getattr(self, name):
+                check_nonnegative(value, name)
+        for name, rates in (("coverage", self.coverage), ("oracle pass rates", self.oracle_pass_rates.values())):
+            if not all(0.0 <= rate <= 1.0 for rate in rates):
+                raise ValueError(f"{name} must lie in [0,1]")
 
     def as_dict(self) -> dict:
         return {
@@ -224,7 +225,7 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
             errs.append(np.mean((est.values - template.f) ** 2, axis=-1))
         bands = _score_bands(
             config.bands, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0),
-            pooled[config.band_basis_family].curve_var, template.process, template.f,
+            pooled["curves"].var, template.process, template.f,
         ) if config.bands else []
         hits = {}
         if config.oracle_checks:
@@ -235,9 +236,11 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         return errs, bands, hits
 
     # each estimator's squared errors and each oracle check's hits, stacked
-    # over the replicates in seed order, and each band's score
+    # over the replicates in seed order, and each band's score; the bands
+    # read the curves' variance for competitor_sample_var alone
+    order = 2 if "competitor_sample_var" in config.bands else 0
     est_errs, band_scores, oracle_hits = each_replicate(template, config.base_seed, S, bases, score,
-                                                          curve_var="competitor_sample_var" in config.bands)
+                                                          curve_moments=order)
 
     pass_rates = {}
     provenance = {

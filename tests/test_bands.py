@@ -64,6 +64,26 @@ def test_band_bounds_and_validation():
             ConfidenceBand(kind="proposed_hard1", center=np.zeros(2), half_width=half, alpha=0.05)
 
 
+def test_band_keeps_its_checked_float_arrays():
+    band = ConfidenceBand(kind="proposed_hard1", center=[1, 2], half_width=[0.5, 0], alpha=0.05)
+    for values in (band.center, band.half_width):
+        assert type(values) is np.ndarray and values.dtype == float
+    assert_array_equal(band.half_width, [0.5, 0.0])
+    assert_array_equal(band.upper, [1.5, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_band_rejects_a_nonfinite_center(bad):
+    with pytest.raises(ValueError, match="center must be finite"):
+        ConfidenceBand(kind="proposed_hard1", center=np.array([0.0, bad]), half_width=np.zeros(2), alpha=0.05)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, np.nan, True, "0.05"])
+def test_band_rejects_an_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ConfidenceBand(kind="proposed_hard1", center=np.zeros(2), half_width=np.zeros(2), alpha=alpha)
+
+
 def test_proposed_band_no_active_coefficients():
     b = fourier_basis(make_grid(8))
     st = _stats([0.1, -0.05] + [0.0] * 6, [0.5] * 8)
@@ -243,6 +263,26 @@ def test_coverage_report_validation():
     rep = CoverageReport(replicates=4, covered_count=3, mean_width=0.1,
                          target="true_mean", band_kind="proposed_hard1")
     assert rep.coverage == 0.75
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("replicates", 0, "replicates"),
+    ("replicates", -1, "replicates"),
+    ("replicates", True, "replicates"),
+    ("covered_count", True, "covered_count"),
+    ("covered_count", False, "covered_count"),
+    ("mean_width", np.nan, "mean_width"),
+    ("mean_width", np.inf, "mean_width"),
+    ("mean_width", -0.1, "mean_width"),
+    ("target", "mean", "target"),
+    ("band_kind", "bootstrap", "band kind"),
+])
+def test_coverage_report_rejects(field, value, match):
+    good = dict(replicates=1, covered_count=0, mean_width=0.1, target="truncated_target",
+                band_kind="competitor_sample_var")
+    CoverageReport(**good)
+    with pytest.raises(ValueError, match=match):
+        CoverageReport(**{**good, field: value})
 
 
 def test_coverage_experiment_degenerate_full_coverage():

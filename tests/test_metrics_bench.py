@@ -478,6 +478,20 @@ def test_warm_replicated_runs_read_no_grid_points(monkeypatch):
     assert reads == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sqrt_emse", np.nan), ("sqrt_emse", np.inf),
+    ("sqrt_medmse", np.nan), ("sqrt_medmse", -np.inf), ("sqrt_medmse", -1.0),
+    ("mean_width", np.nan), ("mean_width", np.inf), ("mean_width", -1.0),
+    ("coverage", np.nan), ("coverage", -0.5), ("coverage", 1.5),
+])
+def test_bench_report_rejects(field, value):
+    good = dict(estimator_labels=("a",), sqrt_emse=(1.0,), sqrt_medmse=(0.5,), band_kinds=("proposed_hard1",),
+                coverage=(1.0,), mean_width=(0.2,), oracle_pass_rates={}, provenance={})
+    BenchReport(**good)
+    with pytest.raises(ValueError, match=field):
+        BenchReport(**{**good, field: (value,)})
+
+
 def test_bench_report_validation():
     with pytest.raises(ValueError):
         BenchReport(estimator_labels=("a",), sqrt_emse=(-1.0,), sqrt_medmse=(0.0,),

@@ -12,7 +12,9 @@ from curveband.bands import BAND_KINDS, _build_band, covers
 from curveband.estimator import (
     RULE_MULTIPLIERS,
     fit,
+    moments,
     per_curve_coeffs,
+    pool,
     pooled_stats,
     theoretical_levels,
     truncated_target,
@@ -46,6 +48,32 @@ def test_analyze_synthesize_round_trip(family_m, seed):
     assert np.max(np.abs(analyze(synthesize(mu, basis), basis) - mu)) < 1e-9
     v = rng.uniform(-10, 10, m)
     assert np.max(np.abs(synthesize(analyze(v, basis), basis) - v)) < 1e-9
+
+
+@SETTINGS
+@given(family_m=FAMILY_AND_M, n=st.integers(2, 60), seed=SEEDS)
+def test_the_mean_curve_analyses_to_the_pooled_coefficient_means(family_m, n, seed):
+    # analysis is linear, so a competitor band may centre at the mean curve's
+    # coefficients in place of the pooled per-curve ones
+    family, m = family_m
+    rng = np.random.default_rng(seed)
+    basis = basis_for(family, make_grid(m))
+    Y = rng.normal(scale=rng.uniform(0.1, 100.0), size=m) + rng.normal(size=(n, m))
+    pooled = pool(per_curve_coeffs(CurvePanel(Y), basis)).mu_hat
+    mean, = moments(Y, 1)
+    assert np.max(np.abs(analyze(mean, basis) - pooled)) <= 1e-13 * np.max(np.abs(Y))
+
+
+@SETTINGS
+@given(n=st.integers(2, 60), m=st.integers(1, 80), seed=SEEDS)
+def test_curve_moments_are_numpys_mean_and_variance_bit_for_bit(n, m, seed):
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(scale=rng.uniform(0.1, 100.0), size=m) + rng.normal(size=(n, m))
+    mean, var = moments(Y, 2)
+    assert moments(Y, 0) == ()
+    np.testing.assert_array_equal(moments(Y, 1)[0], mean)
+    assert mean.tobytes() == Y.mean(axis=0).tobytes()
+    assert var.tobytes() == Y.var(axis=0, ddof=1).tobytes()
 
 
 @SETTINGS
@@ -98,6 +126,7 @@ def test_each_slice_of_a_stacked_call_equals_the_single_replicate_call(family, m
             for name in ("coeffs", "active", "values"):
                 slice_equal(getattr(est, name), [getattr(one, name) for one in ones])
     slice_equal(synthesize(stats.mu_hat, basis), [synthesize(s.mu_hat, basis) for s in singles])
+    slice_equal(analyze(stats.mu_hat, basis), [analyze(s.mu_hat, basis) for s in singles])
     levels = rng.uniform(0.0, 2.0 * np.max(np.abs(stats.mu_hat)), m)
     for got, want in zip(truncated_target(stats.mu_hat, levels, basis),
                          zip(*(truncated_target(s.mu_hat, levels, basis) for s in singles))):

@@ -4,9 +4,12 @@ single-replicate calls.
 bands.each_replicate pools each replicate's coefficients as it goes and
 hands its body every replicate at once. Every report must still equal, bit
 for bit, what one replicate at a time gives, and a failure inside the
-stacked body must still name its replicate.
+stacked body must still name its replicate. A competitor coverage run
+centres at the mean curve's analysis instead of the pooled per-curve one;
+its reports must still equal the per-curve loop's.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 
 import curveband.metrics_bench as mb
 from curveband import bands
-from curveband.bands import BAND_KINDS, _build_band, coverage_experiment, covers
+from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, _build_band, coverage_experiment, covers
 from curveband.estimator import fit, per_curve_coeffs, pooled_stats, theoretical_levels, truncated_target
 from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid
 from curveband.metrics_bench import (
@@ -26,6 +29,7 @@ from curveband.metrics_bench import (
     run_scenario,
 )
 from curveband.process_sim import (
+    PROCESS_KINDS,
     PanelConfig,
     ProcessSpec,
     SignalSpec,
@@ -59,11 +63,16 @@ def _hex(x):
     return x
 
 
+@functools.cache
+def _calibrated(kind, m):
+    grid = make_grid(m)
+    cal = calibrate(ProcessSpec(kind=kind), grid, 1.0, 4.25, SignalSpec())
+    return PanelConfig(n=N, grid=grid, signal=cal.signal, process=cal.process, noise_sd=cal.noise_sd, seed=17)
+
+
 @pytest.fixture(scope="module")
 def panel():
-    grid = make_grid(M)
-    cal = calibrate(ProcessSpec(kind="ar1"), grid, 1.0, 4.25, SignalSpec())
-    return PanelConfig(n=N, grid=grid, signal=cal.signal, process=cal.process, noise_sd=cal.noise_sd, seed=17)
+    return _calibrated("ar1", M)
 
 
 def _coeffs(cfg, basis):
@@ -150,9 +159,10 @@ def test_run_scenario_equals_the_single_replicate_loop(panel, family, S):
     assert _hex(got) == _hex(want)
 
 
-@pytest.mark.parametrize("kind", BAND_KINDS)
-def test_coverage_experiment_equals_the_single_replicate_loop(panel, kind):
-    basis = basis_for("fourier", panel.grid)
+def _check_coverage_against_the_single_replicate_loop(panel, kind, family):
+    """Each kind's report on both targets equals the loop that analyses and
+    pools every replicate's curves one at a time."""
+    basis = basis_for(family, panel.grid)
     f = eval_signal(panel.signal, panel.grid)
     var = process_variance(panel.process, panel.grid)
     levels = theoretical_levels(np.sqrt(sigma_k_theoretical(panel.process, basis)), panel.noise_sd, panel.n, 0.05)
@@ -166,9 +176,44 @@ def test_coverage_experiment_equals_the_single_replicate_loop(panel, kind):
                 band = _build_band(kind, basis, pooled_stats(pc, 0.05), v)
                 covered += covers(band, target)
                 width += float(np.mean(2.0 * band.half_width))
-            rep = coverage_experiment(panel, kind, S, target_kind=target_kind)
+            rep = coverage_experiment(panel, kind, S, target_kind=target_kind, basis_family=family)
             assert type(rep.covered_count) is int and type(rep.mean_width) is float
             assert (rep.covered_count, rep.mean_width.hex()) == (covered, (width / S).hex())
+
+
+@pytest.mark.parametrize("kind", BAND_KINDS)
+def test_coverage_experiment_equals_the_single_replicate_loop(panel, kind):
+    _check_coverage_against_the_single_replicate_loop(panel, kind, "fourier")
+
+
+@pytest.mark.parametrize("m", (16, 24, 64))
+@pytest.mark.parametrize("process", PROCESS_KINDS)
+@pytest.mark.parametrize("family", BASIS_FAMILIES)
+@pytest.mark.parametrize("kind", COMPETITOR_KINDS)
+def test_a_competitor_centred_at_the_mean_curve_scores_as_the_per_curve_loop(kind, family, process, m):
+    _check_coverage_against_the_single_replicate_loop(_calibrated(process, m), kind, family)
+
+
+@pytest.mark.parametrize("kind", COMPETITOR_KINDS)
+def test_a_competitor_coverage_run_draws_each_panel_once_and_analyses_no_curve(panel, kind, monkeypatch):
+    drawn, analysed = [], []
+
+    def drawing(config):
+        drawn.append(config.seed)
+        return generate_panel(config)
+
+    def analysing(panel, basis):
+        analysed.append(basis.family)
+        return per_curve_coeffs(panel, basis)
+
+    monkeypatch.setattr(bands, "generate_panel", drawing)
+    monkeypatch.setattr(bands, "per_curve_coeffs", analysing)
+    S = 5
+    coverage_experiment(panel, kind, S, target_kind="truncated_target", basis_family="haar")
+    assert drawn == [cfg.seed for cfg in replicate_configs(panel, panel.seed, S)]
+    assert analysed == []
+    coverage_experiment(panel, "proposed_hard3", S)
+    assert analysed == ["fourier"] * S
 
 
 @pytest.mark.parametrize("family", BASIS_FAMILIES)
