@@ -5,11 +5,12 @@ by sums of per-coefficient levels over the active set; the untruncated
 band drops the activity indicator; the asymptotic-normality competitor
 bands use sqrt(V(t)/n) times the Bonferroni normal quantile, with V
 either the known process variance or the curves' pointwise sample variance.
-Competitor bands are centered at the least-squares mean, a substitution
-for the kernel-smoothed center that is out of scope here; reports carry a
-note saying so.  The replicated experiments share one
-truth (_truth: true coefficients and theoretical levels) and one band
-scorer (_score_bands, the one place V is chosen).
+Competitor bands are centered at the least-squares fit of the mean curve,
+a substitution for the kernel-smoothed center that is out of scope here;
+reports carry a note saying so.  One helper (_competitor_inputs) chooses
+every competitor band's center and V, for the replicated experiments and
+the CLI alike.  The replicated experiments share one truth (_truth: true
+coefficients and theoretical levels) and one band scorer (_score_bands).
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ _PROPOSED_BANDS = {
     "proposed_soft2": ("soft", 2),
 }
 
-# Competitor kinds read only alpha: no threshold level, so no delta.
-COMPETITOR_KINDS = ("competitor_theoretical", "competitor_sample_var")
+# Competitor kinds read only alpha: no threshold level, so no delta.  Each
+# reads the curves' first so many pointwise moments: the mean for its
+# center, and for competitor_sample_var the sample variance for its V.
+_COMPETITOR_MOMENTS = {"competitor_theoretical": 1, "competitor_sample_var": 2}
+COMPETITOR_KINDS = tuple(_COMPETITOR_MOMENTS)
 
 BAND_KINDS = (*_PROPOSED_BANDS, "untruncated_ls", *COMPETITOR_KINDS)
 
@@ -67,6 +71,8 @@ class ConfidenceBand:
     alpha: float
 
     def __post_init__(self):
+        if self.kind not in BAND_KINDS:
+            raise ValueError(f"unknown band kind {self.kind!r}")
         center = np.asarray(self.center, dtype=float)
         half = np.asarray(self.half_width, dtype=float)
         if half.shape != center.shape:
@@ -119,6 +125,8 @@ def covers(band: ConfidenceBand, target: np.ndarray):
     tgt = np.asarray(target, dtype=float)
     if tgt.shape != band.center.shape[-1:]:
         raise ValueError("target length does not match band")
+    if not np.all(np.isfinite(tgt)):
+        raise ValueError("target must be finite")
     return verdict(np.all((tgt >= band.lower) & (tgt <= band.upper), axis=-1))
 
 
@@ -140,11 +148,10 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
     half_width(t_j) = width * sum_k r_tilde_k |phi_k(t_j)| over coefficients
     with |mu_hat_k| strictly above r_hat_k.  untruncated_ls centers at the
     hard estimate and sums r_hat_k |phi_k(t_j)| over every coefficient.
-    The competitor kinds center at the least-squares mean, with
+    The competitor kinds center at the least-squares fit of mu_hat, with
     half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
-    Bonferroni: V, given by the caller, is the known process variance for
-    competitor_theoretical and the curves' variance for competitor_sample_var.
-    They read only mu_hat, n and alpha of stats, so a _CompetitorStats does.
+    Bonferroni.  They read only mu_hat, n and alpha of stats, so a
+    _CompetitorStats does; _competitor_inputs chooses it and V.
     Stacked stats (and V) give a stacked band, one row per replicate.
     """
     if kind in _PROPOSED_BANDS:
@@ -170,8 +177,33 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
 
 
 # The curves' pointwise mean and sample variance over n curves, each kept
-# only where read: (S, m) stacks, or None.
+# only where read: length-m vectors or (S, m) stacks, or None.
 CurveMoments = namedtuple("CurveMoments", "n mean var", defaults=(None, None))
+
+
+def _competitor_moments(kinds) -> int:
+    """The curve_moments order that the competitor bands among kinds read:
+    0 for none, 1 for the mean, 2 for the mean and the sample variance."""
+    return max((_COMPETITOR_MOMENTS.get(kind, 0) for kind in kinds), default=0)
+
+
+def _competitor_inputs(kind: str, basis: BasisMatrix, curves: CurveMoments, process, alpha: float) -> tuple:
+    """The stats and V of a competitor band of the given kind on the curves,
+    for _build_band: the one place either is chosen.
+
+    The center is the least-squares fit of the mean curve on basis,
+    synthesize(analyze(mean)).  Analysis is linear and Phi^T Phi = m I, so
+    that is the fit of the pooled per-curve means up to rounding, with no
+    curve analysed.  V is the known variance of process for
+    competitor_theoretical, the only kind that reads process, and the
+    curves' sample variance for competitor_sample_var; neither reads the
+    basis.  curves holds the moments _competitor_moments names, and
+    stacked moments give stacked inputs.
+    """
+    check_open(alpha, "alpha", 0, 1)
+    stats = _CompetitorStats(analyze(curves.mean, basis), curves.n, alpha)
+    variance = process_variance(process, basis.grid) if kind == "competitor_theoretical" else curves.var
+    return stats, variance
 
 
 def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, curve_moments=0):
@@ -227,18 +259,20 @@ def _truth(panel: PanelConfig, basis: BasisMatrix, alpha: float, delta: float = 
     return analyze(panel.f, basis), theoretical_levels(sigma_k, panel.noise_sd, panel.n, alpha, delta)
 
 
-def _score_bands(kinds, basis: BasisMatrix, stats: CoefficientStats, curve_var, process, target) -> list:
-    """Each kind's stacked band scored against target: (covered count, mean width).
+def _score_bands(kinds, basis: BasisMatrix, alpha: float, stats, curves: CurveMoments, process, target) -> list:
+    """Each kind's stacked band at alpha scored against target: (covered
+    count, mean width).
 
-    The library's one choice of V: the known process variance for
-    competitor_theoretical, the curves' variance for competitor_sample_var.
-    Widths are summed one replicate at a time in seed order, so the bits do
-    not depend on how numpy adds.
+    The proposed kinds and untruncated_ls read stats, the pooled
+    CoefficientStats on basis at alpha, None when every kind is a
+    competitor; the competitor kinds read the curves' moments and process
+    through _competitor_inputs.  Widths are summed one replicate at a time
+    in seed order, so the bits do not depend on how numpy adds.
     """
     scores = []
     for kind in kinds:
-        variance = process_variance(process, basis.grid) if kind == "competitor_theoretical" else curve_var
-        band = _build_band(kind, basis, stats, variance)
+        inputs = _competitor_inputs(kind, basis, curves, process, alpha) if kind in COMPETITOR_KINDS else (stats,)
+        band = _build_band(kind, basis, *inputs)
         width_sum = 0.0
         for width in np.mean(2.0 * band.half_width, axis=-1):
             width_sum += width
@@ -264,9 +298,8 @@ def coverage_experiment(
     the true mean a competitor kind reads no delta, so a nonzero one is an error.
 
     A competitor band reads no coefficient spread, so its replicates are
-    not analysed curve by curve: analysis is linear and Phi^T Phi = m I, so
-    the mean curve's coefficients are the pooled least-squares means, up to
-    rounding, and the band centres at their synthesis.
+    not analysed curve by curve: it centres at the least-squares fit of
+    each replicate's mean curve (_competitor_inputs).
     """
     if band_kind not in BAND_KINDS:
         raise ValueError(f"unknown band kind {band_kind!r}")
@@ -287,18 +320,11 @@ def coverage_experiment(
     competitor = band_kind in COMPETITOR_KINDS
 
     def score(pooled):
-        curves = pooled["curves"]
-        if competitor:
-            stats = _CompetitorStats(analyze(curves.mean, basis), scenario.n, alpha)
-        else:
-            stats = pooled_stats(pooled[basis_family], alpha, delta)
-        return _score_bands((band_kind,), basis, stats, curves.var, scenario.process, target)[0]
+        stats = None if competitor else pooled_stats(pooled[basis_family], alpha, delta)
+        return _score_bands((band_kind,), basis, alpha, stats, pooled["curves"], scenario.process, target)[0]
 
-    # what the band reads of the curves: the mean for either competitor, and
-    # the variance too for competitor_sample_var
-    order = {"competitor_theoretical": 1, "competitor_sample_var": 2}.get(band_kind, 0)
     covered, mean_width = each_replicate(scenario, scenario.seed, S, {} if competitor else {basis_family: basis},
-                                         score, curve_moments=order)
+                                         score, curve_moments=_competitor_moments((band_kind,)))
     notes = (LS_CENTER_NOTE,) if competitor else ()
     return CoverageReport(
         replicates=S, covered_count=covered, mean_width=mean_width,

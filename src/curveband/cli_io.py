@@ -22,8 +22,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, COMPETITOR_KINDS, _build_band
-from .estimator import RULES, fit, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
+from .bands import BAND_KINDS, COMPETITOR_KINDS, CurveMoments, _build_band, _competitor_inputs, _competitor_moments
+from .estimator import RULES, fit, moments, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
 from .grid_basis import BASIS_FAMILIES, basis_for, check_distinct, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
 from .process_sim import (
@@ -38,7 +38,6 @@ from .process_sim import (
     check_keys,
     check_kind,
     generate_panel,
-    process_variance,
     sigma_k_theoretical,
 )
 from .selector import CandidateSpec, select
@@ -324,16 +323,22 @@ def cmd_band(args) -> int:
     delta = 0.0 if args.delta is None else args.delta
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
-    stats = pooled_stats(per_curve_coeffs(panel, basis), args.alpha, delta)
-    variance = panel.Y.var(axis=0, ddof=1) if args.kind == "competitor_sample_var" else None
-    if args.kind == "competitor_theoretical":
-        if not args.scenario:
-            raise ValueError("competitor_theoretical needs --scenario for the process covariance")
-        cfg = panel_config_from_dict(_load_scenario(args.scenario, "panel")["panel"])
-        if cfg.grid != panel.grid:
-            raise ValueError("scenario grid size does not match the stored panel")
-        variance = process_variance(cfg.process, panel.grid)
-    band = _build_band(args.kind, basis, stats, variance)
+    if competitor:
+        # the band's center and V come from the panel's moments alone, with
+        # no curve analysed; --basis is the basis of the center's fit
+        process = None
+        if args.kind == "competitor_theoretical":
+            if not args.scenario:
+                raise ValueError("competitor_theoretical needs --scenario for the process covariance")
+            cfg = panel_config_from_dict(_load_scenario(args.scenario, "panel")["panel"])
+            if cfg.grid != panel.grid:
+                raise ValueError("scenario grid size does not match the stored panel")
+            process = cfg.process
+        curves = CurveMoments(panel.n, *moments(panel.Y, _competitor_moments((args.kind,))))
+        inputs = _competitor_inputs(args.kind, basis, curves, process, args.alpha)
+    else:
+        inputs = (pooled_stats(per_curve_coeffs(panel, basis), args.alpha, delta),)
+    band = _build_band(args.kind, basis, *inputs)
     j = np.arange(1, basis.m + 1)
     _write_table_csv(
         args.out,

@@ -219,12 +219,18 @@ def truncated_target(mu: np.ndarray, levels: np.ndarray, basis: BasisMatrix):
     """Truncate true coefficients at per-index levels and rebuild the function.
 
     Simulation-only: needs the true coefficient vector.  mu may be a
-    (..., m) stack, truncated row by row at the same m levels.
+    (..., m) stack, truncated row by row at the same m levels.  mu must be
+    finite and the levels finite and nonnegative: a NaN would read as
+    dropped, and an infinite level drops every coefficient.
     """
     mu = np.asarray(mu, dtype=float)
     lev = np.asarray(levels, dtype=float)
     if lev.ndim != 1 or mu.shape[-1:] != lev.shape:
         raise ValueError("mu and levels must have matching length")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu must be finite")
+    if not np.all(np.isfinite(lev) & (lev >= 0.0)):
+        raise ValueError("levels must be finite and nonnegative")
     coeffs = np.where(np.abs(mu) >= lev, mu, 0.0)
     return coeffs, synthesize(coeffs, basis)
 

@@ -101,7 +101,9 @@ class Grid:
 @dataclass(frozen=True, eq=False)
 class BasisMatrix:
     """m basis functions evaluated on the m-point grid, one per column; the
-    grid and the sup norms max_j |phi_k(t_j)| are derived from the matrix."""
+    grid and the sup norms max_j |phi_k(t_j)| are derived from the matrix.
+    family names one of BASIS_FAMILIES but is not checked against the
+    columns, so a hand-built matrix may carry either name."""
 
     family: str
     values: np.ndarray
@@ -109,9 +111,12 @@ class BasisMatrix:
     sup_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_family(self.family, "family")
         vals = _frozen_array(self.values)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"basis matrix must be square, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("basis values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "grid", Grid(vals.shape[0]))
         object.__setattr__(self, "sup_norms", _frozen_array(np.max(np.abs(vals), axis=0)))

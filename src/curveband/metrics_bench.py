@@ -18,7 +18,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _score_bands, _truth, each_replicate, verdict
+from .bands import (
+    BAND_KINDS,
+    COMPETITOR_KINDS,
+    LS_CENTER_NOTE,
+    _competitor_moments,
+    _score_bands,
+    _truth,
+    each_replicate,
+    verdict,
+)
 from .estimator import CoefficientStats, TheoreticalLevels, fit, pooled_stats, truncated_target
 from .grid_basis import basis_for, check_count, check_distinct, check_family, check_nonnegative, check_open, check_seed
 from .process_sim import PanelConfig, _median, replicate_configs, sigma_k_theoretical
@@ -120,12 +129,21 @@ def omega_event_check(stats: CoefficientStats, levels: TheoreticalLevels, mu_tru
     A bool, or for stacked stats one bool per replicate.
     """
     _check_levels_match(stats, levels)
-    mu = np.asarray(mu_true, dtype=float)
-    if mu.shape != stats.mu_hat.shape[-1:]:
-        raise ValueError("mu_true length does not match stats")
+    mu = _check_mu_true(mu_true, stats)
     accurate = np.abs(stats.mu_hat - mu) <= levels.r_k
     nested = (stats.r_hat >= levels.r_k) & (stats.r_hat <= levels.r_bar) & (levels.r_bar <= stats.r_tilde)
     return verdict(np.all(accurate & nested, axis=-1))
+
+
+def _check_mu_true(mu_true, stats: CoefficientStats) -> np.ndarray:
+    """mu_true as floats, once it is finite and as long as the stats'
+    coefficients: a NaN would read as a failed check."""
+    mu = np.asarray(mu_true, dtype=float)
+    if mu.shape != stats.mu_hat.shape[-1:]:
+        raise ValueError("mu_true length does not match stats")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu_true must be finite")
+    return mu
 
 
 def _check_levels_match(stats: CoefficientStats, levels: TheoreticalLevels):
@@ -137,10 +155,11 @@ def _check_levels_match(stats: CoefficientStats, levels: TheoreticalLevels):
 
 def _thm12_check(rule, stats, basis, levels, mu_true):
     _check_levels_match(stats, levels)
+    mu = _check_mu_true(mu_true, stats)
     est = fit(rule, stats, basis, 2)
-    _, target = truncated_target(mu_true, levels.r_k, basis)
+    _, target = truncated_target(mu, levels.r_k, basis)
     diff = est.values - target
-    keep = np.abs(np.asarray(mu_true, dtype=float)) >= levels.r_k
+    keep = np.abs(mu) >= levels.r_k
     sup_bound = 3.0 * float(np.max(basis.sup_norms)) * float(np.sum(levels.r_bar * keep))
     l2_bound = 3.0 * float(np.sqrt(np.sum(levels.r_bar**2 * keep)))
     sup_ok = np.max(np.abs(diff), axis=-1) <= sup_bound
@@ -204,11 +223,14 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
     template = config.panel
     S = config.replicates
 
+    # the band family is analysed curve by curve only where its spread is
+    # read: by a proposed band, untruncated_ls or the oracle checks
+    pooled_bands = [kind for kind in config.bands if kind not in COMPETITOR_KINDS]
     families = {c.basis_family for c in config.estimators}
-    if config.bands or config.oracle_checks:
+    if pooled_bands or config.oracle_checks:
         families.add(config.band_basis_family)
     bases = {fam: basis_for(fam, template.grid) for fam in families}
-    band_basis = bases.get(config.band_basis_family)
+    band_basis = basis_for(config.band_basis_family, template.grid) if config.bands or config.oracle_checks else None
 
     if config.oracle_checks:
         mu_true, oracle_levels = _truth(template, band_basis, config.oracle_alpha, config.oracle_delta)
@@ -223,9 +245,9 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
             stats = stats_for(cand.basis_family, cand.alpha, 0.0)
             est = fit(cand.rule, stats, bases[cand.basis_family], cand.multiplier)
             errs.append(np.mean((est.values - template.f) ** 2, axis=-1))
+        band_stats = stats_for(config.band_basis_family, config.band_alpha, 0.0) if pooled_bands else None
         bands = _score_bands(
-            config.bands, band_basis, stats_for(config.band_basis_family, config.band_alpha, 0.0),
-            pooled["curves"].var, template.process, template.f,
+            config.bands, band_basis, config.band_alpha, band_stats, pooled["curves"], template.process, template.f,
         ) if config.bands else []
         hits = {}
         if config.oracle_checks:
@@ -236,11 +258,9 @@ def run_scenario(config: ScenarioConfig) -> BenchReport:
         return errs, bands, hits
 
     # each estimator's squared errors and each oracle check's hits, stacked
-    # over the replicates in seed order, and each band's score; the bands
-    # read the curves' variance for competitor_sample_var alone
-    order = 2 if "competitor_sample_var" in config.bands else 0
+    # over the replicates in seed order, and each band's score
     est_errs, band_scores, oracle_hits = each_replicate(template, config.base_seed, S, bases, score,
-                                                          curve_moments=order)
+                                                          curve_moments=_competitor_moments(config.bands))
 
     pass_rates = {}
     provenance = {

@@ -180,8 +180,14 @@ def _cached_signal(signal: SignalSpec, grid: Grid) -> np.ndarray:
     return values
 
 
+def _check_process(process, caller: str):
+    if not isinstance(process, ProcessSpec):
+        raise TypeError(f"{caller} needs a ProcessSpec, got {type(process).__name__}")
+
+
 def covariance_matrix(process: ProcessSpec, grid: Grid) -> np.ndarray:
     """Full kernel matrix Gamma(t_i, t_j) on the grid."""
+    _check_process(process, "covariance_matrix")
     t = grid.points
     if process.kind == "bb":
         return np.minimum.outer(t, t) - np.outer(t, t)
@@ -223,6 +229,7 @@ def _cholesky_t(process: ProcessSpec, noise_sd: float, grid: Grid) -> np.ndarray
 def process_variance(process: ProcessSpec, grid: Grid) -> np.ndarray:
     """Gamma(t_j, t_j) on the grid, read-only and shared by every caller of
     the same (process, m)."""
+    _check_process(process, "process_variance")
     return _cached_process_variance(process, grid)
 
 
@@ -346,8 +353,7 @@ def sigma_k_theoretical(process: ProcessSpec, basis: BasisMatrix) -> np.ndarray:
     The result is read-only and shared by every caller of the same
     (process, basis object).
     """
-    if not isinstance(process, ProcessSpec):
-        raise TypeError(f"sigma_k_theoretical needs a ProcessSpec, got {type(process).__name__}")
+    _check_process(process, "sigma_k_theoretical")
     return _cached_sigma_k(process, basis)
 
 

@@ -410,3 +410,17 @@ def test_omega_event_implies_surrogate_coverage():
         omega_count += omega
         cover_count += covered
     assert omega_count <= cover_count
+
+
+@pytest.mark.parametrize("kind", ["bogus", "", None, "Proposed_hard1"])
+def test_band_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match="unknown band kind"):
+        ConfidenceBand(kind=kind, center=np.zeros(2), half_width=np.zeros(2), alpha=0.05)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covers_rejects_a_nonfinite_target(bad):
+    # a NaN target would read as not covered
+    band = ConfidenceBand(kind="proposed_hard1", center=np.zeros(2), half_width=np.ones(2), alpha=0.05)
+    with pytest.raises(ValueError, match="target must be finite"):
+        covers(band, np.array([0.0, bad]))

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from curveband import cli_io
+from curveband import bands, cli_io
 from curveband.cli_io import main, read_panel_csv, scenario_from_dict, write_panel_csv
-from curveband.grid_basis import fourier_basis, haar_basis, make_grid, synthesize
-from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel
-from curveband.estimator import fit, per_curve_coeffs, pooled_stats
+from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, fourier_basis, haar_basis, make_grid, synthesize
+from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel, process_variance
+from curveband.estimator import fit, normal_quantile, per_curve_coeffs, pooled_stats
 from curveband.selector import CandidateSpec, select
 from curveband.bands import _build_band
 from curveband.metrics_bench import ScenarioConfig
@@ -293,6 +293,38 @@ def test_band_competitor_with_scenario(tmp_path):
     rows = _read_rows(out)[1:]
     half = np.array([(float(r.split(",")[4]) - float(r.split(",")[3])) / 2.0 for r in rows])
     assert np.all(half > 0.0)
+
+
+@pytest.mark.parametrize("family", BASIS_FAMILIES)
+@pytest.mark.parametrize("kind", ["competitor_theoretical", "competitor_sample_var"])
+def test_a_competitor_band_is_the_mean_curves_fit_and_analyses_no_curve(tmp_path, monkeypatch, kind, family):
+    # the center is the least-squares fit of the mean curve on --basis and V
+    # reads no basis, so the command analyses no curve, bit for bit
+    g = make_grid(64)
+    process = ProcessSpec(kind="bm")
+    panel = generate_panel(PanelConfig(n=40, grid=g, signal=SignalSpec(), process=process, noise_sd=0.2, seed=8))
+    ppath = tmp_path / "panel.csv"
+    write_panel_csv(panel, str(ppath))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"panel": {"n": 40, "m": 64, "process": {"kind": "bm"}, "noise_sd": 0.2}}))
+    analysed = []
+
+    def analysing(panel, basis):
+        analysed.append(basis.family)
+        return per_curve_coeffs(panel, basis)
+
+    for module in (cli_io, bands):
+        monkeypatch.setattr(module, "per_curve_coeffs", analysing)
+    given = ("--scenario", scen) if kind == "competitor_theoretical" else ()
+    out = tmp_path / "band.csv"
+    assert _run("band", "--panel", ppath, "--kind", kind, "--basis", family, *given, "--out", out) == 0
+    assert analysed == []
+    b = basis_for(family, g)
+    center = synthesize(analyze(panel.Y.mean(axis=0), b), b)
+    V = panel.Y.var(axis=0, ddof=1) if kind == "competitor_sample_var" else process_variance(process, g)
+    half = np.sqrt(V / 40) * normal_quantile(0.05 / (2.0 * 64))
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert_array_equal(got[:, 2:], np.column_stack([center, center - half, center + half]))
 
 
 def test_sparsity_cli_fields(tmp_path):

@@ -357,7 +357,7 @@ def test_truncated_target_extremes():
     coeffs, values = truncated_target(mu, np.zeros(16), b)
     assert_array_equal(coeffs, mu)
     assert_allclose(values, f, atol=1e-9)
-    coeffs, values = truncated_target(mu, np.full(16, np.inf), b)
+    coeffs, values = truncated_target(mu, np.full(16, np.finfo(float).max), b)
     assert np.all(coeffs == 0.0)
     assert np.all(values == 0.0)
     with pytest.raises(ValueError):
@@ -387,3 +387,23 @@ def test_sparsity_zero_signal():
     r = sparsity_report(SignalSpec(kind="signal1", c1=0.0, c2=0.0), b, _default_levels(b))
     assert r.count == 0
     assert r.sup_error == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_truncated_target_rejects_a_nonfinite_mu(bad):
+    # a NaN coefficient would read as dropped
+    b = fourier_basis(make_grid(8))
+    mu = np.zeros((2, 8))
+    mu[1, 3] = bad
+    with pytest.raises(ValueError, match="mu must be finite"):
+        truncated_target(mu, np.zeros(8), b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+def test_truncated_target_rejects_negative_or_nonfinite_levels(bad):
+    # an infinite level would drop every coefficient
+    b = fourier_basis(make_grid(8))
+    levels = np.full(8, 0.1)
+    levels[5] = bad
+    with pytest.raises(ValueError, match="levels must be finite and nonnegative"):
+        truncated_target(np.ones(8), levels, b)

@@ -263,3 +263,14 @@ def test_basis_matrices_are_frozen():
     points = b.grid.points
     points[0] = 0.9
     assert_array_equal(b.grid.points, (np.arange(1, 9) - 0.5) / 8)
+
+
+def test_basis_matrix_rejects_an_unknown_family_and_nonfinite_values():
+    for family in ("bogus", "Haar", None):
+        with pytest.raises(ValueError, match="unknown basis family"):
+            BasisMatrix(family, np.eye(8))
+    one_inf = np.eye(8)
+    one_inf[2, 5] = np.inf
+    for bad in (np.full((8, 8), np.nan), one_inf):
+        with pytest.raises(ValueError, match="basis values must be finite"):
+            BasisMatrix("fourier", bad)

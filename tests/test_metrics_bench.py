@@ -143,6 +143,21 @@ def test_oracle_checks_reject_stats_at_other_levels():
                 check(st, b, levels, np.zeros(16))
 
 
+@pytest.mark.parametrize("check", [
+    lambda st, b, levels, mu: omega_event_check(st, levels, mu), oracle_check_thm1, oracle_check_thm2,
+], ids=["omega", "thm1", "thm2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracle_checks_reject_a_nonfinite_true_mean(check, bad):
+    # a NaN true coefficient would read as a failed check
+    b = fourier_basis(make_grid(16))
+    levels = theoretical_levels(np.zeros(16), 0.0, n=4, alpha=0.05)
+    st = pooled_stats(per_curve_coeffs(CurvePanel(Y=np.zeros((4, 16))), b), 0.05)
+    mu = np.zeros(16)
+    mu[3] = bad
+    with pytest.raises(ValueError, match="mu_true must be finite"):
+        check(st, b, levels, mu)
+
+
 def test_thm3_zero_signal_ok():
     g = make_grid(32)
     cfg = PanelConfig(n=50, grid=g, signal=SignalSpec(kind="signal1", c1=0.0, c2=0.0),
@@ -391,6 +406,28 @@ def test_run_scenario_analyses_each_family_once_per_replicate(monkeypatch):
     monkeypatch.setattr(bands, "per_curve_coeffs", counting)
     run_scenario(cfg)
     assert sorted(calls) == ["fourier"] * (2 * 3) + ["haar"] * 3
+
+
+def test_a_competitor_only_run_analyses_no_curve_on_the_band_family(monkeypatch):
+    # competitor bands centre at the fit of the mean curve, so a band family
+    # that no estimator and no oracle check reads is analysed for no curve;
+    # the bands score as coverage_experiment's on the same panels
+    cfg = replace(_scenario(S=3, bands=bands.COMPETITOR_KINDS), band_basis_family="haar")
+    calls = []
+    real = bands.per_curve_coeffs
+
+    def counting(panel, basis):
+        calls.append(basis.family)
+        return real(panel, basis)
+
+    monkeypatch.setattr(bands, "per_curve_coeffs", counting)
+    report = run_scenario(cfg)
+    assert calls == ["fourier"] * 3
+    seeded = replace(cfg.panel, seed=cfg.base_seed)
+    for kind, coverage, width in zip(report.band_kinds, report.coverage, report.mean_width):
+        rep = coverage_experiment(seeded, kind, 3, basis_family="haar")
+        assert (rep.coverage, rep.mean_width.hex()) == (coverage, width.hex())
+    assert calls == ["fourier"] * 3
 
 
 def test_run_scenario_failure_carries_replicate_seed(monkeypatch):

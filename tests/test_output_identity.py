@@ -4,19 +4,25 @@ A change made for speed must leave every one of them bit for bit: a
 run_scenario with oracle checks on each process, over every band kind and
 both basis families; coverage_experiment against both targets; two panels;
 one panel's per-curve coefficients and pooled statistics on each family;
-sigma_k_theoretical for each process and family; and select over both
-families on a dyadic grid (m = 16) and a non-dyadic one (m = 24).  Arrays
-are compared by the sha256 of their float64 bytes.  A change that declares a
+sigma_k_theoretical for each process and family; select over both
+families on a dyadic grid (m = 16) and a non-dyadic one (m = 24); and the
+band command's center, lower and upper columns for both competitor kinds
+on one stored panel.  Arrays are compared by the sha256 of their float64
+bytes.  A change that declares a
 new random stream or a new estimate updates these values and says so in
 CHANGES.md.
 """
 
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curveband.bands import BAND_KINDS, coverage_experiment
+from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, coverage_experiment
+from curveband.cli_io import main, write_panel_csv
 from curveband.estimator import per_curve_coeffs, pooled_stats
 from curveband.grid_basis import BASIS_FAMILIES, basis_for, make_grid
 from curveband.metrics_bench import ScenarioConfig, run_scenario
@@ -146,6 +152,28 @@ def _select() -> dict:
     return out
 
 
+def _cli_band() -> dict:
+    """The band command's columns for both competitor kinds on one panel
+    written to CSV, with the centre fitted on each family."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_panel_csv(generate_panel(PanelConfig(
+            n=N, grid=make_grid(M), signal=SignalSpec(), process=ProcessSpec(kind="bm"), noise_sd=0.2, seed=13,
+        )), str(tmp / "panel.csv"))
+        (tmp / "scen.json").write_text(json.dumps({"panel": {"n": N, "m": M, "process": {"kind": "bm"},
+                                                             "noise_sd": 0.2}}))
+        for kind in COMPETITOR_KINDS:
+            for family in BASIS_FAMILIES:
+                given = ["--scenario", str(tmp / "scen.json")] if kind == "competitor_theoretical" else []
+                argv = ["band", "--panel", str(tmp / "panel.csv"), "--kind", kind, "--basis", family, *given,
+                        "--out", str(tmp / "band.csv")]
+                assert main(argv) == 0
+                columns = np.loadtxt(tmp / "band.csv", delimiter=",", skiprows=1)[:, 2:].T
+                out[f"{kind} {family}"] = [_array_digest(c) for c in columns]
+    return out
+
+
 def observed() -> dict:
     return {
         "run_scenario": {process: _run_scenario(process) for process in PROCESS_KINDS},
@@ -154,6 +182,7 @@ def observed() -> dict:
         "coefficients": _coefficients(),
         "sigma_k_theoretical": _sigma_k(),
         "select": _select(),
+        "cli_band": _cli_band(),
     }
 
 
@@ -369,6 +398,12 @@ GOLDEN = {
             ],
             'fitted_values': '86c7e315eed3ecba',
         },
+    },
+    'cli_band': {
+        'competitor_theoretical fourier': ['b6b2a3f060588828', '59850cf74d4e13ed', '8b853e1ac9bce600'],
+        'competitor_theoretical haar': ['b4d1e21f61b0346d', '58d5c42c54426d9d', '07ada7764a999160'],
+        'competitor_sample_var fourier': ['b6b2a3f060588828', '3d5e08e0915e24f5', 'ae3fa4519ee3ce6a'],
+        'competitor_sample_var haar': ['b4d1e21f61b0346d', '7625fb9d5428af46', 'e97d95fb736c694b'],
     },
 }
 

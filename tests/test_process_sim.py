@@ -501,3 +501,10 @@ def test_sigma_k_rejects_a_kernel_matrix():
     b = fourier_basis(make_grid(8))
     with pytest.raises(TypeError, match="ProcessSpec"):
         sigma_k_theoretical(np.eye(8), b)
+
+
+@pytest.mark.parametrize("entry", [covariance_matrix, process_variance])
+@pytest.mark.parametrize("bad", ["bb", np.eye(8), None])
+def test_kernels_name_what_is_not_a_process_spec(entry, bad):
+    with pytest.raises(TypeError, match=f"^{entry.__name__} needs a ProcessSpec, got {type(bad).__name__}$"):
+        entry(bad, make_grid(8))
