@@ -7,10 +7,12 @@ bands use sqrt(V(t)/n) times the Bonferroni normal quantile, with V
 either the known process variance or the curves' pointwise sample variance.
 Competitor bands are centered at the least-squares fit of the mean curve,
 a substitution for the kernel-smoothed center that is out of scope here;
-reports carry a note saying so.  One helper (_competitor_inputs) chooses
-every competitor band's center and V, for the replicated experiments and
-the CLI alike.  The replicated experiments share one truth (_truth: true
-coefficients and theoretical levels) and one band scorer (_score_bands).
+reports carry a note saying so.  Bands are built by what they read:
+_build_band builds the coefficient bands (proposed and untruncated) from
+pooled stats, and _competitor_bands every competitor band from the curves'
+moments, for the replicated experiments and the CLI alike.  The replicated
+experiments share one truth (_truth: true coefficients and theoretical
+levels) and one band scorer (_score_bands).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .estimator import (
     theoretical_levels,
     truncated_target,
 )
-from .grid_basis import BasisMatrix, analyze, basis_for, check_count, check_nonnegative, check_open, matvec
+from .grid_basis import BasisMatrix, analyze, basis_for, check_count, check_nonnegative, check_open, matvec, synthesize
 from .process_sim import PanelConfig, generate_panel, process_variance, replicate_configs, sigma_k_theoretical
 
 __all__ = [
@@ -136,23 +138,16 @@ def verdict(hits: np.ndarray):
     return bool(hits) if hits.ndim == 0 else hits
 
 
-# What a competitor band reads of its stats: the least-squares
-# coefficients, n and alpha; it reads no spread.
-_CompetitorStats = namedtuple("_CompetitorStats", "mu_hat n alpha")
-
-
-def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance=None) -> ConfidenceBand:
-    """One band of the given kind from the pooled stats, at their alpha.
+def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats) -> ConfidenceBand:
+    """One coefficient band of the given kind from the pooled stats, at their
+    alpha: a proposed kind or untruncated_ls.
 
     Proposed kinds center at their rule's multiplier-1 estimate, with
     half_width(t_j) = width * sum_k r_tilde_k |phi_k(t_j)| over coefficients
     with |mu_hat_k| strictly above r_hat_k.  untruncated_ls centers at the
     hard estimate and sums r_hat_k |phi_k(t_j)| over every coefficient.
-    The competitor kinds center at the least-squares fit of mu_hat, with
-    half_width(t_j) = sqrt(V(t_j)/n) z(alpha/2m), simultaneous by
-    Bonferroni.  They read only mu_hat, n and alpha of stats, so a
-    _CompetitorStats does; _competitor_inputs chooses it and V.
-    Stacked stats (and V) give a stacked band, one row per replicate.
+    Stacked stats give a stacked band, one row per replicate.  A competitor
+    band reads the curves, not their spread: _competitor_bands builds it.
     """
     if kind in _PROPOSED_BANDS:
         rule, width = _PROPOSED_BANDS[kind]
@@ -161,17 +156,8 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats, variance
     elif kind == "untruncated_ls":
         rule = "hard"
         half = matvec(np.abs(basis.values), stats.r_hat)
-    elif kind in COMPETITOR_KINDS:
-        rule = "least_squares"
-        v = np.asarray(variance, dtype=float)
-        if v.shape[-1:] != (basis.m,):
-            raise ValueError(f"variance function must have length {basis.m}")
-        if np.any(v < 0.0):
-            raise ValueError("variance function must be nonnegative")
-        v = np.broadcast_to(v, stats.mu_hat.shape)
-        half = np.sqrt(v / stats.n) * normal_quantile(stats.alpha / (2.0 * basis.m))
     else:
-        raise ValueError(f"unknown band kind {kind!r}")
+        raise ValueError(f"unknown coefficient band kind {kind!r}")
     center = fit(rule, stats, basis).values
     return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
@@ -187,23 +173,32 @@ def _competitor_moments(kinds) -> int:
     return max((_COMPETITOR_MOMENTS.get(kind, 0) for kind in kinds), default=0)
 
 
-def _competitor_inputs(kind: str, basis: BasisMatrix, curves: CurveMoments, process, alpha: float) -> tuple:
-    """The stats and V of a competitor band of the given kind on the curves,
-    for _build_band: the one place either is chosen.
+def _competitor_bands(kinds, basis: BasisMatrix, curves: CurveMoments, process, alpha: float) -> dict:
+    """Each competitor band of kinds on the curves at alpha, by kind: the one
+    place a competitor band is built.
 
-    The center is the least-squares fit of the mean curve on basis,
-    synthesize(analyze(mean)).  Analysis is linear and Phi^T Phi = m I, so
-    that is the fit of the pooled per-curve means up to rounding, with no
-    curve analysed.  V is the known variance of process for
-    competitor_theoretical, the only kind that reads process, and the
-    curves' sample variance for competitor_sample_var; neither reads the
-    basis.  curves holds the moments _competitor_moments names, and
-    stacked moments give stacked inputs.
+    Every band centers at the least-squares fit of the mean curve on basis,
+    synthesize(analyze(mean)), computed once for all of them.  Analysis is
+    linear and Phi^T Phi = m I, so that is the fit of the pooled per-curve
+    means up to rounding, with no curve analysed.  half_width(t_j) =
+    sqrt(V(t_j)/n) z(alpha/2m), simultaneous by Bonferroni, where V is the
+    known variance of process for competitor_theoretical, the only kind that
+    reads process, and the curves' sample variance for competitor_sample_var;
+    neither reads the basis.  curves holds the moments _competitor_moments
+    names, and stacked moments give stacked bands, one row per replicate.
     """
     check_open(alpha, "alpha", 0, 1)
-    stats = _CompetitorStats(analyze(curves.mean, basis), curves.n, alpha)
-    variance = process_variance(process, basis.grid) if kind == "competitor_theoretical" else curves.var
-    return stats, variance
+    for kind in kinds:
+        if kind not in COMPETITOR_KINDS:
+            raise ValueError(f"unknown competitor band kind {kind!r}")
+    center = synthesize(analyze(curves.mean, basis), basis)
+    z = normal_quantile(alpha / (2.0 * basis.m))
+    built = {}
+    for kind in kinds:
+        variance = process_variance(process, basis.grid) if kind == "competitor_theoretical" else curves.var
+        half = np.sqrt(np.broadcast_to(variance, center.shape) / curves.n) * z
+        built[kind] = ConfidenceBand(kind=kind, center=center, half_width=half, alpha=alpha)
+    return built
 
 
 def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, body, curve_moments=0):
@@ -265,14 +260,16 @@ def _score_bands(kinds, basis: BasisMatrix, alpha: float, stats, curves: CurveMo
 
     The proposed kinds and untruncated_ls read stats, the pooled
     CoefficientStats on basis at alpha, None when every kind is a
-    competitor; the competitor kinds read the curves' moments and process
-    through _competitor_inputs.  Widths are summed one replicate at a time
-    in seed order, so the bits do not depend on how numpy adds.
+    competitor, through _build_band; the competitor kinds read the curves'
+    moments and process, all through one _competitor_bands call, so the
+    mean curves are analysed once.  Widths are summed one replicate at a
+    time in seed order, so the bits do not depend on how numpy adds.
     """
+    competitors = [kind for kind in kinds if kind in COMPETITOR_KINDS]
+    built = _competitor_bands(competitors, basis, curves, process, alpha) if competitors else {}
     scores = []
     for kind in kinds:
-        inputs = _competitor_inputs(kind, basis, curves, process, alpha) if kind in COMPETITOR_KINDS else (stats,)
-        band = _build_band(kind, basis, *inputs)
+        band = built[kind] if kind in built else _build_band(kind, basis, stats)
         width_sum = 0.0
         for width in np.mean(2.0 * band.half_width, axis=-1):
             width_sum += width
@@ -299,7 +296,7 @@ def coverage_experiment(
 
     A competitor band reads no coefficient spread, so its replicates are
     not analysed curve by curve: it centres at the least-squares fit of
-    each replicate's mean curve (_competitor_inputs).
+    each replicate's mean curve (_competitor_bands).
     """
     if band_kind not in BAND_KINDS:
         raise ValueError(f"unknown band kind {band_kind!r}")

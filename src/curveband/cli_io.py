@@ -22,7 +22,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bands import BAND_KINDS, COMPETITOR_KINDS, CurveMoments, _build_band, _competitor_inputs, _competitor_moments
+from .bands import (
+    BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, CurveMoments, _build_band, _competitor_bands, _competitor_moments,
+)
 from .estimator import RULES, fit, moments, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
 from .grid_basis import BASIS_FAMILIES, basis_for, check_distinct, make_grid
 from .metrics_bench import ScenarioConfig, run_scenario
@@ -320,13 +322,13 @@ def cmd_band(args) -> int:
     competitor = args.kind in COMPETITOR_KINDS
     if competitor:
         _reject_given(args, ("delta",), f"{args.kind} reads only --alpha")
-    delta = 0.0 if args.delta is None else args.delta
     panel = read_panel_csv(args.panel)
     basis = basis_for(args.basis, panel.grid)
     if competitor:
         # the band's center and V come from the panel's moments alone, with
         # no curve analysed; --basis is the basis of the center's fit
         process = None
+        echo = {"notes": [LS_CENTER_NOTE]}
         if args.kind == "competitor_theoretical":
             if not args.scenario:
                 raise ValueError("competitor_theoretical needs --scenario for the process covariance")
@@ -334,18 +336,18 @@ def cmd_band(args) -> int:
             if cfg.grid != panel.grid:
                 raise ValueError("scenario grid size does not match the stored panel")
             process = cfg.process
+            echo.update(scenario=args.scenario, process=_panel_echo(cfg)["process"])
         curves = CurveMoments(panel.n, *moments(panel.Y, _competitor_moments((args.kind,))))
-        inputs = _competitor_inputs(args.kind, basis, curves, process, args.alpha)
+        band = _competitor_bands((args.kind,), basis, curves, process, args.alpha)[args.kind]
     else:
-        inputs = (pooled_stats(per_curve_coeffs(panel, basis), args.alpha, delta),)
-    band = _build_band(args.kind, basis, *inputs)
+        echo = {"delta": 0.0 if args.delta is None else args.delta}
+        band = _build_band(args.kind, basis, pooled_stats(per_curve_coeffs(panel, basis), args.alpha, echo["delta"]))
     j = np.arange(1, basis.m + 1)
     _write_table_csv(
         args.out,
         ["j", "t_j", "center", "lower", "upper"],
         [j, panel.grid.points, band.center, band.lower, band.upper],
     )
-    echo = {} if competitor else {"delta": delta}
     _write_meta(args.out, "band", {
         "panel": args.panel, "kind": args.kind, "basis": args.basis, "alpha": args.alpha, **echo,
     })

@@ -6,19 +6,19 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from curveband import bands, cli_io
-from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, fourier_basis, make_grid
+from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, fourier_basis, make_grid, synthesize
 from curveband.process_sim import (
     CurvePanel,
     PanelConfig,
     ProcessSpec,
     SignalSpec,
-    covariance_matrix,
     eval_signal,
     generate_panel,
     sigma_k_theoretical,
 )
 from curveband.estimator import (
     CoefficientStats,
+    moments,
     normal_quantile,
     per_curve_coeffs,
     pooled_stats,
@@ -26,9 +26,12 @@ from curveband.estimator import (
     truncated_target,
 )
 from curveband.bands import (
+    COMPETITOR_KINDS,
     ConfidenceBand,
     CoverageReport,
+    CurveMoments,
     _build_band,
+    _competitor_bands,
     coverage_experiment,
     covers,
 )
@@ -151,52 +154,64 @@ def test_untruncated_band_brute_force_and_dominance():
     assert np.all(prop.half_width <= band.half_width + 1e-15)
 
 
-def _ls_stats(mu_hat, n, alpha):
-    """Fourier basis and stats whose least-squares center has coefficients mu_hat."""
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    return fourier_basis(make_grid(len(mu_hat))), _stats(mu_hat, np.zeros_like(mu_hat), n=n, alpha=alpha)
+def _competitor(kind, basis, curves, process=None, alpha=0.05):
+    return _competitor_bands((kind,), basis, curves, process, alpha)[kind]
 
 
 def test_competitor_band_zero_variance():
-    b, st = _ls_stats([1.0, 0.0, 0.0, 0.0], n=10, alpha=0.05)  # phi_1 = 1
-    band = _build_band("competitor_theoretical", b, st, np.zeros(4))
+    # identical curves: zero sample variance, centre at the mean curve's fit
+    b = fourier_basis(make_grid(4))
+    mean = np.ones(4)
+    band = _competitor("competitor_sample_var", b, CurveMoments(10, *moments(np.tile(mean, (10, 1)), 2)))
     assert np.all(band.half_width == 0.0)
-    assert_array_equal(band.center, np.ones(4))
+    assert_array_equal(band.center, synthesize(analyze(mean, b), b))
+    assert_allclose(band.center, mean, rtol=0.0, atol=1e-15)
 
 
 def test_competitor_band_known_variance_value():
     # half width at V=1/4, n=100, alpha=0.05, m=64 from the display formula;
     # target value recomputed with the verified quantile
-    b, st = _ls_stats(np.zeros(64), n=100, alpha=0.05)
-    band = _build_band("competitor_theoretical", b, st, np.full(64, 0.25))
+    b = fourier_basis(make_grid(64))
+    band = _competitor("competitor_sample_var", b, CurveMoments(100, np.zeros(64), np.full(64, 0.25)))
     expect = np.sqrt(0.25 / 100.0) * normal_quantile(0.05 / 128.0)
     assert expect == pytest.approx(0.16797, abs=1e-3)
     assert_allclose(band.half_width, np.full(64, expect), rtol=1e-15)
 
 
 def test_competitor_band_validation():
-    b, st = _ls_stats(np.zeros(4), n=10, alpha=0.05)
-    with pytest.raises(ValueError):
-        _build_band("competitor_theoretical", b, st, np.zeros(3))
-    with pytest.raises(ValueError, match="nonnegative"):  # before sqrt could warn
-        _build_band("competitor_theoretical", b, st, np.array([0.1, -0.2, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        _build_band("bootstrap", b, st, np.zeros(4))
-    with pytest.raises(ValueError, match="length 4"):
-        _build_band("competitor_theoretical", b, st)
+    b = fourier_basis(make_grid(4))
+    curves = CurveMoments(10, np.zeros(4), np.zeros(4))
+    for kind in ("bootstrap", "proposed_hard1", "untruncated_ls"):
+        with pytest.raises(ValueError, match="unknown competitor band kind"):
+            _competitor(kind, b, curves)
+    for kind in COMPETITOR_KINDS + ("bootstrap",):
+        with pytest.raises(ValueError, match="unknown coefficient band kind"):
+            _build_band(kind, b, _stats(np.zeros(4), np.zeros(4)))
 
 
 def test_sample_variance_brute_force():
     rng = np.random.default_rng(14)
     b = fourier_basis(make_grid(8))
     Y = rng.normal(size=(6, 8))
-    pc = per_curve_coeffs(CurvePanel(Y), b)
-    band = _build_band("competitor_sample_var", b, pooled_stats(pc, alpha=0.05), Y.var(axis=0, ddof=1))
+    band = _competitor("competitor_sample_var", b, CurveMoments(6, *moments(Y, 2)))
     v = 6 * (band.half_width / normal_quantile(0.05 / 16.0)) ** 2
     for j in range(8):
         mean_j = Y[:, j].mean()
         direct = np.sum((Y[:, j] - mean_j) ** 2) / 5.0
         assert abs(v[j] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("family", BASIS_FAMILIES)
+def test_both_competitor_bands_share_one_centre(family):
+    # one analysis of the mean curves per call, read by both kinds
+    g = make_grid(16)
+    b = basis_for(family, g)
+    Y = np.random.default_rng(3).normal(size=(2, 9, 16))
+    curves = CurveMoments(9, *moments(Y, 2))
+    built = _competitor_bands(COMPETITOR_KINDS, b, curves, ProcessSpec(kind="bm"), 0.05)
+    theoretical, sample_var = (built[kind].center for kind in COMPETITOR_KINDS)
+    assert theoretical.tobytes() == sample_var.tobytes()
+    assert theoretical.tobytes() == synthesize(analyze(curves.mean, b), b).tobytes()
 
 
 @pytest.mark.parametrize("family", BASIS_FAMILIES)
@@ -214,15 +229,16 @@ def test_sample_variance_band_is_the_same_on_every_basis(tmp_path, monkeypatch):
     halves = []
 
     def keep_half_width(*args):
-        band = _build_band(*args)
-        halves.append(band.half_width)
-        return band
+        built = _competitor_bands(*args)
+        halves.extend(band.half_width for band in built.values())
+        return built
 
-    monkeypatch.setattr(cli_io, "_build_band", keep_half_width)
+    monkeypatch.setattr(cli_io, "_competitor_bands", keep_half_width)
     for family in BASIS_FAMILIES:
         argv = ["band", "--panel", str(ppath), "--kind", "competitor_sample_var", "--basis", family,
                 "--out", str(tmp_path / f"{family}.csv")]
         assert cli_io.main(argv) == 0
+    assert len(halves) == 2
     assert_array_equal(halves[0], halves[1])
 
 
@@ -297,7 +313,7 @@ def test_coverage_experiment_degenerate_full_coverage():
         panel = CurvePanel(Y=np.tile(f, (4, 1)))
         stats = pooled_stats(per_curve_coeffs(panel, b), 0.05, delta)
         for kind in ["proposed_hard1", "proposed_hard3", "proposed_soft2"]:
-            assert covers(_build_band(kind, b, stats, None), f) is True
+            assert covers(_build_band(kind, b, stats), f) is True
 
 
 def test_coverage_experiment_validation_and_notes():
@@ -361,8 +377,8 @@ def test_coverage_experiment_single_replicate_echo():
     f = eval_signal(cfg.signal, g)
     direct = {
         "proposed_hard3": _build_band("proposed_hard3", b, st),
-        "competitor_theoretical": _build_band(
-            "competitor_theoretical", b, st, np.diag(covariance_matrix(cfg.process, g))),
+        "competitor_theoretical": _competitor(
+            "competitor_theoretical", b, CurveMoments(panel.n, *moments(panel.Y, 1)), cfg.process),
     }
     for kind, band in direct.items():
         rep = coverage_experiment(cfg, kind, S=1)

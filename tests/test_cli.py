@@ -16,7 +16,7 @@ from curveband import bands, cli_io
 from curveband.cli_io import main, read_panel_csv, scenario_from_dict, write_panel_csv
 from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, fourier_basis, haar_basis, make_grid, synthesize
 from curveband.process_sim import CurvePanel, PanelConfig, ProcessSpec, SignalSpec, generate_panel, process_variance
-from curveband.estimator import fit, normal_quantile, per_curve_coeffs, pooled_stats
+from curveband.estimator import fit, moments, normal_quantile, per_curve_coeffs, pooled_stats
 from curveband.selector import CandidateSpec, select
 from curveband.bands import _build_band
 from curveband.metrics_bench import ScenarioConfig
@@ -325,6 +325,43 @@ def test_a_competitor_band_is_the_mean_curves_fit_and_analyses_no_curve(tmp_path
     half = np.sqrt(V / 40) * normal_quantile(0.05 / (2.0 * 64))
     got = np.loadtxt(out, delimiter=",", skiprows=1)
     assert_array_equal(got[:, 2:], np.column_stack([center, center - half, center + half]))
+
+
+def test_a_competitor_band_sidecar_regenerates_the_band(tmp_path):
+    # the sidecar carries the least-squares centre note, and for
+    # competitor_theoretical the process block the band read, with the
+    # innovation a calibration derived, so the band replays from it alone
+    g = make_grid(32)
+    panel = generate_panel(PanelConfig(n=25, grid=g, signal=SignalSpec(), process=ProcessSpec(kind="bb"),
+                                       noise_sd=0.2, seed=5))
+    ppath = tmp_path / "panel.csv"
+    write_panel_csv(panel, str(ppath))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"panel": {"n": 25, "m": 32, "process": {"kind": "ar1", "ar_phi": 0.3},
+                                          "calibration": {"sigma_star": 1.0, "snr": 4.25}}}))
+    out = tmp_path / "band.csv"
+    assert _run("band", "--panel", ppath, "--kind", "competitor_theoretical", "--basis", "haar",
+                "--scenario", scen, "--out", out) == 0
+    config = json.loads((tmp_path / "band.csv.meta.json").read_text())["config"]
+    assert config["notes"] == [bands.LS_CENTER_NOTE]
+    assert config["scenario"] == str(scen)
+    assert set(config["process"]) == {"kind", "ar_phi", "innovation_sd"}
+    assert config["process"]["innovation_sd"] != 1.0
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"panel": {"n": 25, "m": 32, "process": config["process"], "noise_sd": 0.0}}))
+    again = tmp_path / "again.csv"
+    assert _run("band", "--panel", config["panel"], "--kind", config["kind"], "--basis", config["basis"],
+                "--alpha", config["alpha"], "--scenario", replay, "--out", again) == 0
+    assert again.read_bytes() == out.read_bytes()
+    curves = bands.CurveMoments(25, *moments(panel.Y, 1))
+    band = bands._competitor_bands((config["kind"],), basis_for("haar", g), curves,
+                                   ProcessSpec(**config["process"]), config["alpha"])[config["kind"]]
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert_array_equal(got[:, 2:], np.column_stack([band.center, band.lower, band.upper]))
+    for kind, keys in (("competitor_sample_var", {"notes"}), ("proposed_hard1", {"delta"})):
+        assert _run("band", "--panel", ppath, "--kind", kind, "--out", out) == 0
+        config = json.loads((tmp_path / "band.csv.meta.json").read_text())["config"]
+        assert set(config) == {"panel", "kind", "basis", "alpha"} | keys
 
 
 def test_sparsity_cli_fields(tmp_path):

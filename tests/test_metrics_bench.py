@@ -430,6 +430,23 @@ def test_a_competitor_only_run_analyses_no_curve_on_the_band_family(monkeypatch)
     assert calls == ["fourier"] * 3
 
 
+def test_a_run_scoring_both_competitor_kinds_analyses_the_mean_curves_once(monkeypatch):
+    # both competitor bands centre at the fit of the one (S, m) stack of mean
+    # curves, so one analysis serves both
+    shapes = []
+    real = bands.analyze
+
+    def counting(values, basis):
+        shapes.append(np.shape(values))
+        return real(values, basis)
+
+    monkeypatch.setattr(bands, "analyze", counting)
+    for oracle in (False, True):
+        shapes.clear()
+        run_scenario(_scenario(S=4, bands=bands.COMPETITOR_KINDS, oracle=oracle))
+        assert shapes.count((4, 32)) == 1
+
+
 def test_run_scenario_failure_carries_replicate_seed(monkeypatch):
     cfg = _scenario(S=3)
 

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveband.bands import BAND_KINDS, _build_band, covers
+from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, CurveMoments, _build_band, _competitor_bands, covers
 from curveband.estimator import (
     RULE_MULTIPLIERS,
     fit,
@@ -21,7 +21,7 @@ from curveband.estimator import (
 )
 from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid, synthesize
 from curveband.metrics_bench import omega_event_check, oracle_check_thm1, oracle_check_thm2
-from curveband.process_sim import CurvePanel
+from curveband.process_sim import CurvePanel, ProcessSpec
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -81,8 +81,8 @@ def test_curve_moments_are_numpys_mean_and_variance_bit_for_bit(n, m, seed):
        delta=st.floats(0.0, 0.2), seed=SEEDS)
 def test_proposed_hard1_band_lies_inside_hard3(family_m, n, alpha, delta, seed):
     basis, stats = _random_stats(*family_m, n, alpha, delta, seed)
-    narrow = _build_band("proposed_hard1", basis, stats, None)
-    wide = _build_band("proposed_hard3", basis, stats, None)
+    narrow = _build_band("proposed_hard1", basis, stats)
+    wide = _build_band("proposed_hard3", basis, stats)
     assert np.all(wide.lower <= narrow.lower)
     assert np.all(narrow.upper <= wide.upper)
 
@@ -138,12 +138,21 @@ def test_each_slice_of_a_stacked_call_equals_the_single_replicate_call(family, m
     mu_true = singles[0].mu_hat
     process_var = rng.uniform(0.0, 1.0, m)
     target = fit("hard", singles[0], basis).values
-    for kind in BAND_KINDS:
-        band = _build_band(kind, basis, stats, process_var)
-        ones = [_build_band(kind, basis, s, process_var) for s in singles]
+    # the competitor bands read the curves' moments: the pooled means stand
+    # in for the mean curves, and a stacked V for the sample variance
+    process = ProcessSpec(kind="bm")
+    curves = CurveMoments(n, stats.mu_hat, np.tile(process_var, (chunk, 1)))
+    ones_curves = [CurveMoments(n, s.mu_hat, process_var) for s in singles]
+
+    def every_band(stats, curves):
+        built = _competitor_bands(COMPETITOR_KINDS, basis, curves, process, alpha)
+        return [built[kind] if kind in built else _build_band(kind, basis, stats) for kind in BAND_KINDS]
+
+    ones = [every_band(s, c) for s, c in zip(singles, ones_curves)]
+    for b, band in enumerate(every_band(stats, curves)):
         for name in ("center", "half_width", "lower", "upper"):
-            slice_equal(getattr(band, name), [getattr(one, name) for one in ones])
-        slice_equal(covers(band, target), [covers(one, target) for one in ones])
+            slice_equal(getattr(band, name), [getattr(one[b], name) for one in ones])
+        slice_equal(covers(band, target), [covers(one[b], target) for one in ones])
     slice_equal(omega_event_check(stats, theory, mu_true), [omega_event_check(s, theory, mu_true) for s in singles])
     for check in (oracle_check_thm1, oracle_check_thm2):
         got = check(stats, basis, theory, mu_true)
@@ -153,10 +162,11 @@ def test_each_slice_of_a_stacked_call_equals_the_single_replicate_call(family, m
 
     # one replicate keeps its types: bools, a tuple of bools, 1-D arrays
     one = singles[0]
-    assert type(covers(_build_band("proposed_hard1", basis, one, None), target)) is bool
+    assert type(covers(_build_band("proposed_hard1", basis, one), target)) is bool
     assert type(omega_event_check(one, theory, mu_true)) is bool
     for check in (oracle_check_thm1, oracle_check_thm2):
         result = check(one, basis, theory, mu_true)
         assert type(result) is tuple and [type(x) for x in result] == [bool, bool]
     assert fit("soft", one, basis).values.shape == one.mu_hat.shape == (m,)
-    assert _build_band("competitor_theoretical", basis, one, process_var).half_width.shape == (m,)
+    for band in _competitor_bands(COMPETITOR_KINDS, basis, ones_curves[0], process, alpha).values():
+        assert band.center.shape == band.half_width.shape == (m,)

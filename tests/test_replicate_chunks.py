@@ -17,9 +17,16 @@ import pytest
 
 import curveband.metrics_bench as mb
 from curveband import bands
-from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, _build_band, coverage_experiment, covers
-from curveband.estimator import fit, per_curve_coeffs, pooled_stats, theoretical_levels, truncated_target
-from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid
+from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, ConfidenceBand, _build_band, coverage_experiment, covers
+from curveband.estimator import (
+    fit,
+    normal_quantile,
+    per_curve_coeffs,
+    pooled_stats,
+    theoretical_levels,
+    truncated_target,
+)
+from curveband.grid_basis import BASIS_FAMILIES, analyze, basis_for, make_grid, synthesize
 from curveband.metrics_bench import (
     ScenarioConfig,
     omega_event_check,
@@ -79,6 +86,16 @@ def _coeffs(cfg, basis):
     return per_curve_coeffs(generate_panel(cfg), basis)
 
 
+def _reference_band(kind, basis, stats, variance):
+    """One replicate's band: a coefficient band through _build_band, a
+    competitor band inline, at the least-squares fit of the pooled per-curve
+    means plus and minus sqrt(V/n) z(alpha/2m)."""
+    if kind not in COMPETITOR_KINDS:
+        return _build_band(kind, basis, stats)
+    half = np.sqrt(variance / stats.n) * normal_quantile(stats.alpha / (2.0 * basis.m))
+    return ConfidenceBand(kind=kind, center=synthesize(stats.mu_hat, basis), half_width=half, alpha=stats.alpha)
+
+
 def _reference_thm3_errors(scenario, S, family, alpha):
     basis = basis_for(family, scenario.grid)
     mu = analyze(eval_signal(scenario.signal, scenario.grid), basis)
@@ -115,7 +132,7 @@ def _reference_run(config):
         bstats = pooled_stats(coeffs[config.band_basis_family], config.band_alpha)
         for b, kind in enumerate(config.bands):
             v = panel.Y.var(axis=0, ddof=1) if kind == "competitor_sample_var" else var
-            band = _build_band(kind, bb, bstats, v)
+            band = _reference_band(kind, bb, bstats, v)
             hits[b] += covers(band, f)
             widths[b] += float(np.mean(2.0 * band.half_width))
         if config.oracle_checks:
@@ -173,7 +190,7 @@ def _check_coverage_against_the_single_replicate_loop(panel, kind, family):
             for cfg in replicate_configs(panel, panel.seed, S):
                 pc = _coeffs(cfg, basis)
                 v = generate_panel(cfg).Y.var(axis=0, ddof=1) if kind == "competitor_sample_var" else var
-                band = _build_band(kind, basis, pooled_stats(pc, 0.05), v)
+                band = _reference_band(kind, basis, pooled_stats(pc, 0.05), v)
                 covered += covers(band, target)
                 width += float(np.mean(2.0 * band.half_width))
             rep = coverage_experiment(panel, kind, S, target_kind=target_kind, basis_family=family)
