@@ -17,19 +17,17 @@ levels) and one band scorer (_score_bands).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import (
     CoefficientStats,
-    PooledCoefficients,
+    Moments,
     fit,
     moments,
     normal_quantile,
     per_curve_coeffs,
-    pool,
     pooled_stats,
     theoretical_levels,
     truncated_target,
@@ -162,18 +160,13 @@ def _build_band(kind: str, basis: BasisMatrix, stats: CoefficientStats) -> Confi
     return ConfidenceBand(kind=kind, center=center, half_width=half, alpha=stats.alpha)
 
 
-# The curves' pointwise mean and sample variance over n curves, each kept
-# only where read: length-m vectors or (S, m) stacks, or None.
-CurveMoments = namedtuple("CurveMoments", "n mean var", defaults=(None, None))
-
-
 def _competitor_moments(kinds) -> int:
     """The curve_moments order that the competitor bands among kinds read:
     0 for none, 1 for the mean, 2 for the mean and the sample variance."""
     return max((_COMPETITOR_MOMENTS.get(kind, 0) for kind in kinds), default=0)
 
 
-def _competitor_bands(kinds, basis: BasisMatrix, curves: CurveMoments, process, alpha: float) -> dict:
+def _competitor_bands(kinds, basis: BasisMatrix, curves: Moments, process, alpha: float) -> dict:
     """Each competitor band of kinds on the curves at alpha, by kind: the one
     place a competitor band is built.
 
@@ -205,31 +198,29 @@ def each_replicate(template: PanelConfig, base_seed: int, S: int, bases: dict, b
     """What body makes of S replicates, stacked in seed order.
 
     Replicate s simulates template at the s-th replicate_configs seed.  It
-    analyses and pools its coefficients once per family in bases, the
-    families whose spread body reads, and keeps the curves' first
-    curve_moments pointwise moments (0: none, 1: the mean, 2: the mean and
-    the sample variance), taken once per panel.  So one replicate's n x m
-    arrays are held at a time.  body is called once, with each family
-    mapped to its PooledCoefficients and "curves" to the CurveMoments, over
-    all S replicates.  A failure names the replicate and its panel seed,
-    from which that panel replays alone; a raising body is rerun one
-    replicate at a time to find it.
+    analyses its curves once per family in bases, the families whose spread
+    body reads, and keeps their coefficients' mean and sample variance, and
+    the curves' first curve_moments pointwise moments (0: none, 1: the mean,
+    2: the mean and the sample variance), taken once per panel.  So one
+    replicate's n x m arrays are held at a time.  body is called once, with
+    each family and "curves" mapped to their Moments, stacked over all S
+    replicates.  A failure names the replicate and its panel seed, from
+    which that panel replays alone; a raising body is rerun one replicate
+    at a time to find it.
     """
     configs = replicate_configs(template, base_seed, S)
-    records = {fam: PooledCoefficients for fam in bases}
-    records["curves"] = CurveMoments
-    kept = {key: [] for key in records}
+    kept = {key: [] for key in (*bases, "curves")}
     for s, cfg in enumerate(configs):
         try:
             panel = generate_panel(cfg)
-            kept["curves"].append(moments(panel.Y, curve_moments))
+            kept["curves"].append(moments(panel.Y, curve_moments)[1:1 + curve_moments])
             for fam, basis in bases.items():
-                kept[fam].append(pool(per_curve_coeffs(panel, basis))[1:])
+                kept[fam].append(moments(per_curve_coeffs(panel, basis), 2)[1:])
         except Exception as exc:
             raise _failure(s, cfg, exc) from exc
 
     def stacked(rows: slice) -> dict:
-        return {key: record(template.n, *map(np.array, zip(*kept[key][rows]))) for key, record in records.items()}
+        return {key: Moments(template.n, *map(np.array, zip(*moms[rows]))) for key, moms in kept.items()}
 
     try:
         return body(stacked(slice(None)))
@@ -254,7 +245,7 @@ def _truth(panel: PanelConfig, basis: BasisMatrix, alpha: float, delta: float = 
     return analyze(panel.f, basis), theoretical_levels(sigma_k, panel.noise_sd, panel.n, alpha, delta)
 
 
-def _score_bands(kinds, basis: BasisMatrix, alpha: float, stats, curves: CurveMoments, process, target) -> list:
+def _score_bands(kinds, basis: BasisMatrix, alpha: float, stats, curves: Moments, process, target) -> list:
     """Each kind's stacked band at alpha scored against target: (covered
     count, mean width).
 

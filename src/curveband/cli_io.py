@@ -23,7 +23,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bands import (
-    BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, CurveMoments, _build_band, _competitor_bands, _competitor_moments,
+    BAND_KINDS, COMPETITOR_KINDS, LS_CENTER_NOTE, _build_band, _competitor_bands, _competitor_moments,
 )
 from .estimator import RULES, fit, moments, per_curve_coeffs, pooled_stats, sparsity_report, theoretical_levels
 from .grid_basis import BASIS_FAMILIES, basis_for, check_distinct, make_grid
@@ -337,7 +337,7 @@ def cmd_band(args) -> int:
                 raise ValueError("scenario grid size does not match the stored panel")
             process = cfg.process
             echo.update(scenario=args.scenario, process=_panel_echo(cfg)["process"])
-        curves = CurveMoments(panel.n, *moments(panel.Y, _competitor_moments((args.kind,))))
+        curves = moments(panel.Y, _competitor_moments((args.kind,)))
         band = _competitor_bands((args.kind,), basis, curves, process, args.alpha)[args.kind]
     else:
         echo = {"delta": 0.0 if args.delta is None else args.delta}

@@ -1,8 +1,8 @@
 """Coefficient estimation, threshold levels, and thresholded mean estimates.
 
-The pooled coefficient estimates mu_hat_k average the per-curve basis
-coefficients; the data-driven levels r_hat_k = (S_k + delta) z(alpha/2m)/sqrt(n)
-and their widened companions r_tilde_k = (S_k + 3 delta) z(alpha/2m)/sqrt(n)
+The coefficient means mu_hat_k and root sample variances S_k come from
+moments; the levels r_hat_k = (S_k + delta) z(alpha/2m)/sqrt(n) and
+their widened companions r_tilde_k = (S_k + 3 delta) z(alpha/2m)/sqrt(n)
 drive hard and soft thresholding.  Theoretical counterparts (r_k, r_bar_k)
 are available when the process covariance is known, for simulation checks
 and the truncated-target machinery.
@@ -21,13 +21,13 @@ from .process_sim import CurvePanel, SignalSpec, eval_signal
 
 __all__ = [
     "CoefficientStats",
-    "PooledCoefficients",
+    "Moments",
     "TheoreticalLevels",
     "MeanEstimate",
     "SparsityReport",
     "normal_quantile",
     "per_curve_coeffs",
-    "pool",
+    "moments",
     "pooled_stats",
     "theoretical_levels",
     "fit",
@@ -41,9 +41,10 @@ RULE_MULTIPLIERS = {"hard": (1, 2), "soft": (1, 2), "least_squares": (1,)}
 RULES = tuple(RULE_MULTIPLIERS)
 
 
-# Each basis coefficient's mean and SD over n curves: length-m vectors, or
-# (S, m) stacks with one row per replicate.
-PooledCoefficients = namedtuple("PooledCoefficients", "n mu_hat s_k")
+# Each column's mean and sample variance over n rows (curves, or their
+# coefficients), each kept only where read: length-m vectors or (S, m)
+# stacks with one row per replicate, or None.
+Moments = namedtuple("Moments", "n mean var", defaults=(None, None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,61 +104,57 @@ def per_curve_coeffs(panel: CurvePanel, basis: BasisMatrix) -> np.ndarray:
     return coeffs
 
 
-def pool(per_curve: np.ndarray) -> PooledCoefficients:
-    """Mean and SD over the curves of an n x m matrix of per-curve
-    coefficients, or of each matrix of a (..., n, m) stack."""
-    pc = np.asarray(per_curve, dtype=float)
-    if pc.ndim < 2:
-        raise ValueError("per-curve coefficients must be an n x m matrix")
-    n = pc.shape[-2]
-    check_count(n, "n", 2)  # for the coefficient sample SD
-    mu, var = moments(pc, 2)
-    return PooledCoefficients(n, mu, np.sqrt(var))
-
-
-def moments(rows: np.ndarray, order: int) -> tuple:
+def moments(rows: np.ndarray, order: int) -> Moments:
     """The first order (0, 1 or 2) moments of each column over the n rows
-    of an n x m matrix, or of each matrix of a (..., n, m) stack: (),
-    (mean,) or (mean, sample variance).
+    of an n x m matrix, or of each matrix of a (..., n, m) stack: n, then
+    the mean, then the sample variance.
 
     mean and var(ddof=1) by the ufunc calls numpy's own make, bit for bit,
     with the variance taken about this mean instead of a second one.
     """
-    if order == 0:
-        return ()
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim < 2:
+        raise ValueError("rows must be an n x m matrix or a stack of them")
+    if isinstance(order, bool) or order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     n = rows.shape[-2]
-    mean = rows.sum(axis=-2) / n
-    if order == 1:
-        return (mean,)
+    check_count(n, "n", order)  # a mean needs one row, a sample variance two
+    mean = rows.sum(axis=-2) / n if order else None
+    if order < 2:
+        return Moments(n, mean)
     dev = rows - mean[..., None, :]
     dev *= dev
-    return mean, dev.sum(axis=-2) / (n - 1)
+    return Moments(n, mean, dev.sum(axis=-2) / (n - 1))
 
 
 def pooled_stats(per_curve, alpha: float, delta: float = 0.0) -> CoefficientStats:
-    """The data-driven levels of per-curve coefficients, pooled here by
-    pool() or already pooled; each row of a stack pools as it would alone."""
-    p = per_curve if isinstance(per_curve, PooledCoefficients) else pool(per_curve)
+    """The data-driven levels of per-curve coefficients, given as their
+    matrix or as its moments(..., 2); each row of a stack pools as it
+    would alone."""
+    p = per_curve if isinstance(per_curve, Moments) else moments(per_curve, 2)
     check_count(p.n, "n", 2)
-    _check_pooled(p)
+    mean, var = _check_pooled(p)
     check_open(alpha, "alpha", 0, 1)
     check_nonnegative(delta, "delta")
-    z = normal_quantile(alpha / (2.0 * p.mu_hat.shape[-1]))
-    r_hat = (p.s_k + delta) * z / np.sqrt(p.n)
-    r_tilde = (p.s_k + 3.0 * delta) * z / np.sqrt(p.n)
-    return CoefficientStats(mu_hat=p.mu_hat, n=p.n, s_k=p.s_k, alpha=alpha, delta=delta, r_hat=r_hat, r_tilde=r_tilde)
+    s_k = np.sqrt(var)
+    z = normal_quantile(alpha / (2.0 * mean.shape[-1]))
+    r_hat = (s_k + delta) * z / np.sqrt(p.n)
+    r_tilde = (s_k + 3.0 * delta) * z / np.sqrt(p.n)
+    return CoefficientStats(mu_hat=mean, n=p.n, s_k=s_k, alpha=alpha, delta=delta, r_hat=r_hat, r_tilde=r_tilde)
 
 
-def _check_pooled(p: PooledCoefficients):
-    """A hand-built pool is checked as pool() would have made it: mu_hat
-    and s_k of one shape with at least one axis, finite, s_k nonnegative."""
-    mu, sk = np.asarray(p.mu_hat), np.asarray(p.s_k)
-    if mu.shape != sk.shape or mu.ndim == 0:
-        raise ValueError(f"mu_hat and s_k must be vectors or stacks of one shape, got {mu.shape} and {sk.shape}")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("mu_hat must be finite")
-    if not np.all(np.isfinite(sk) & (sk >= 0.0)):
-        raise ValueError("s_k must be finite and nonnegative")
+def _check_pooled(p: Moments) -> tuple:
+    """Hand-built moments are checked as moments(..., 2) would have made
+    them: mean and var (not None) of one shape with at least one axis,
+    finite, var nonnegative.  Returns both as float arrays."""
+    mean, var = np.asarray(p.mean, dtype=float), np.asarray(p.var, dtype=float)
+    if mean.shape != var.shape or mean.ndim == 0:
+        raise ValueError(f"mean and var must be vectors or stacks of one shape, got {mean.shape} and {var.shape}")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+    if not np.all(np.isfinite(var) & (var >= 0.0)):
+        raise ValueError("var must be finite and nonnegative")
+    return mean, var
 
 
 def theoretical_levels(

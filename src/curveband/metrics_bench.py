@@ -99,6 +99,13 @@ class BenchReport:
     provenance: dict
 
     def __post_init__(self):
+        for names in (("estimator_labels", "sqrt_emse", "sqrt_medmse"), ("band_kinds", "coverage", "mean_width")):
+            lengths = [len(getattr(self, name)) for name in names]
+            if len(set(lengths)) > 1:
+                raise ValueError(f"{', '.join(names)} must be of one length, got {lengths}")
+        for kind in self.band_kinds:
+            if kind not in BAND_KINDS:
+                raise ValueError(f"unknown band kind {kind!r}")
         for name in ("sqrt_emse", "sqrt_medmse", "mean_width"):
             for value in getattr(self, name):
                 check_nonnegative(value, name)
@@ -198,7 +205,7 @@ def oracle_check_thm3(scenario: PanelConfig, S: int, basis_family: str = "fourie
     _, target = truncated_target(mu, levels.r_k, basis)
 
     def sq_error(pooled):
-        _, values = truncated_target(pooled[basis_family].mu_hat, 2.0 * levels.r_k, basis)
+        _, values = truncated_target(pooled[basis_family].mean, 2.0 * levels.r_k, basis)
         return np.mean((values - target) ** 2, axis=-1)
 
     errs = each_replicate(scenario, scenario.seed, S, {basis_family: basis}, sq_error)

@@ -1,9 +1,9 @@
 """Cross-validated choice among candidate estimators via one data split.
 
-Curves are split in half at random; each basis family pools the first
-half once, and every candidate (family, rule, level multiplier, alpha) is
-fit from its family's pool and scored by the held-out empirical risk on
-the second half.  The winner is the argmin, ties broken by candidate order.
+Curves are split in half at random; every candidate (family, rule, level
+multiplier, alpha) is fit from its family's moments of the first half's
+coefficients, taken once, and scored by the held-out empirical risk on the
+second half.  The winner is the argmin, ties broken by candidate order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import check_rule, fit, per_curve_coeffs, pool, pooled_stats
+from .estimator import check_rule, fit, moments, per_curve_coeffs, pooled_stats
 from .grid_basis import basis_for, check_family, check_open, check_seed
 from .process_sim import CurvePanel
 
@@ -67,12 +67,15 @@ def select(panel: CurvePanel, candidates, seed: int) -> SelectionResult:
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list is empty")
+    for i, cand in enumerate(candidates):
+        if not isinstance(cand, CandidateSpec):
+            raise ValueError(f"candidate {i} must be a CandidateSpec, got {cand!r}")
     i1, i2 = split_panel(panel, seed)
     fitting_half = CurvePanel(panel.Y[i1])
     pooled = {}
     for family in dict.fromkeys(cand.basis_family for cand in candidates):
         basis = basis_for(family, panel.grid)
-        pooled[family] = basis, pool(per_curve_coeffs(fitting_half, basis))
+        pooled[family] = basis, moments(per_curve_coeffs(fitting_half, basis), 2)
     fits = []
     for cand in candidates:
         basis, p = pooled[cand.basis_family]

@@ -18,6 +18,7 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
+    Moments,
     moments,
     normal_quantile,
     per_curve_coeffs,
@@ -29,7 +30,6 @@ from curveband.bands import (
     COMPETITOR_KINDS,
     ConfidenceBand,
     CoverageReport,
-    CurveMoments,
     _build_band,
     _competitor_bands,
     coverage_experiment,
@@ -162,7 +162,7 @@ def test_competitor_band_zero_variance():
     # identical curves: zero sample variance, centre at the mean curve's fit
     b = fourier_basis(make_grid(4))
     mean = np.ones(4)
-    band = _competitor("competitor_sample_var", b, CurveMoments(10, *moments(np.tile(mean, (10, 1)), 2)))
+    band = _competitor("competitor_sample_var", b, moments(np.tile(mean, (10, 1)), 2))
     assert np.all(band.half_width == 0.0)
     assert_array_equal(band.center, synthesize(analyze(mean, b), b))
     assert_allclose(band.center, mean, rtol=0.0, atol=1e-15)
@@ -172,7 +172,7 @@ def test_competitor_band_known_variance_value():
     # half width at V=1/4, n=100, alpha=0.05, m=64 from the display formula;
     # target value recomputed with the verified quantile
     b = fourier_basis(make_grid(64))
-    band = _competitor("competitor_sample_var", b, CurveMoments(100, np.zeros(64), np.full(64, 0.25)))
+    band = _competitor("competitor_sample_var", b, Moments(100, np.zeros(64), np.full(64, 0.25)))
     expect = np.sqrt(0.25 / 100.0) * normal_quantile(0.05 / 128.0)
     assert expect == pytest.approx(0.16797, abs=1e-3)
     assert_allclose(band.half_width, np.full(64, expect), rtol=1e-15)
@@ -180,7 +180,7 @@ def test_competitor_band_known_variance_value():
 
 def test_competitor_band_validation():
     b = fourier_basis(make_grid(4))
-    curves = CurveMoments(10, np.zeros(4), np.zeros(4))
+    curves = Moments(10, np.zeros(4), np.zeros(4))
     for kind in ("bootstrap", "proposed_hard1", "untruncated_ls"):
         with pytest.raises(ValueError, match="unknown competitor band kind"):
             _competitor(kind, b, curves)
@@ -193,7 +193,7 @@ def test_sample_variance_brute_force():
     rng = np.random.default_rng(14)
     b = fourier_basis(make_grid(8))
     Y = rng.normal(size=(6, 8))
-    band = _competitor("competitor_sample_var", b, CurveMoments(6, *moments(Y, 2)))
+    band = _competitor("competitor_sample_var", b, moments(Y, 2))
     v = 6 * (band.half_width / normal_quantile(0.05 / 16.0)) ** 2
     for j in range(8):
         mean_j = Y[:, j].mean()
@@ -207,7 +207,7 @@ def test_both_competitor_bands_share_one_centre(family):
     g = make_grid(16)
     b = basis_for(family, g)
     Y = np.random.default_rng(3).normal(size=(2, 9, 16))
-    curves = CurveMoments(9, *moments(Y, 2))
+    curves = moments(Y, 2)
     built = _competitor_bands(COMPETITOR_KINDS, b, curves, ProcessSpec(kind="bm"), 0.05)
     theoretical, sample_var = (built[kind].center for kind in COMPETITOR_KINDS)
     assert theoretical.tobytes() == sample_var.tobytes()
@@ -378,7 +378,7 @@ def test_coverage_experiment_single_replicate_echo():
     direct = {
         "proposed_hard3": _build_band("proposed_hard3", b, st),
         "competitor_theoretical": _competitor(
-            "competitor_theoretical", b, CurveMoments(panel.n, *moments(panel.Y, 1)), cfg.process),
+            "competitor_theoretical", b, moments(panel.Y, 1), cfg.process),
     }
     for kind, band in direct.items():
         rep = coverage_experiment(cfg, kind, S=1)

@@ -353,7 +353,7 @@ def test_a_competitor_band_sidecar_regenerates_the_band(tmp_path):
     assert _run("band", "--panel", config["panel"], "--kind", config["kind"], "--basis", config["basis"],
                 "--alpha", config["alpha"], "--scenario", replay, "--out", again) == 0
     assert again.read_bytes() == out.read_bytes()
-    curves = bands.CurveMoments(25, *moments(panel.Y, 1))
+    curves = moments(panel.Y, 1)
     band = bands._competitor_bands((config["kind"],), basis_for("haar", g), curves,
                                    ProcessSpec(**config["process"]), config["alpha"])[config["kind"]]
     got = np.loadtxt(out, delimiter=",", skiprows=1)

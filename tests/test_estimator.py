@@ -17,11 +17,11 @@ from curveband.process_sim import (
 )
 from curveband.estimator import (
     CoefficientStats,
-    PooledCoefficients,
+    Moments,
     fit,
+    moments,
     normal_quantile,
     per_curve_coeffs,
-    pool,
     pooled_stats,
     sparsity_report,
     theoretical_levels,
@@ -105,14 +105,17 @@ def test_pooled_validation():
 def test_pooled_stats_of_a_pool_equal_those_of_its_matrix():
     pc = np.random.default_rng(3).normal(size=(7, 8))
     want = pooled_stats(pc, 0.05, 0.1)
-    got = pooled_stats(pool(pc), 0.05, 0.1)
-    assert got.n == want.n == 7
+    got = pooled_stats(moments(pc, 2), 0.05, 0.1)
+    # moments built by hand may hold lists
+    listed = pooled_stats(Moments(7, *(x.tolist() for x in moments(pc, 2)[1:])), 0.05, 0.1)
+    assert got.n == want.n == listed.n == 7
     for name in ("mu_hat", "s_k", "r_hat", "r_tilde"):
         assert_array_equal(getattr(got, name), getattr(want, name))
-    # a pool built by hand meets the same check of n as a matrix
+        assert_array_equal(getattr(listed, name), getattr(want, name))
+    # moments built by hand meet the same check of n as a matrix
     for bad in (1, True, 2.5):
         with pytest.raises(ValueError, match="n >= 2"):
-            pooled_stats(PooledCoefficients(bad, np.zeros(4), np.ones(4)), 0.05)
+            pooled_stats(Moments(bad, np.zeros(4), np.ones(4)), 0.05)
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 17, 100])
@@ -124,27 +127,42 @@ def test_pool_equals_numpy_mean_and_std_bit_for_bit(n, lead, order):
     rng = np.random.default_rng(n)
     for scale in (0.01, 1.0, 1000.0):
         pc = np.asarray(scale * rng.normal(size=lead + (n, 64)) + rng.normal(size=64), order=order)
-        p = pool(pc)
+        p = moments(pc, 2)
         assert p.n == n
-        assert np.array_equal(p.mu_hat, pc.mean(axis=-2))
-        assert np.array_equal(p.s_k, pc.std(axis=-2, ddof=1))
+        assert np.array_equal(p.mean, pc.mean(axis=-2))
+        assert np.array_equal(np.sqrt(p.var), pc.std(axis=-2, ddof=1))
 
 
-@pytest.mark.parametrize("mu_hat, s_k, field", [
-    (np.zeros(4), np.ones(1), "mu_hat and s_k"),
-    (np.zeros((2, 4)), np.ones(4), "mu_hat and s_k"),
-    (np.float64(0.0), np.float64(1.0), "mu_hat and s_k"),
-    (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4), "mu_hat"),
-    (np.array([0.0, 0.0, -np.inf, 0.0]), np.ones(4), "mu_hat"),
-    (np.zeros(4), np.array([np.nan, 1.0, 1.0, 1.0]), "s_k"),
-    (np.zeros(4), np.array([1.0, -1.0, 1.0, 1.0]), "s_k"),
-    (np.zeros(4), np.array([1.0, 1.0, np.inf, 0.0]), "s_k"),
-    (np.zeros((3, 4)), np.full((3, 4), -0.5), "s_k"),
-], ids=["lengths", "stack-vector", "scalars", "nan-mu", "inf-mu", "nan-sk", "negative-sk", "inf-sk", "negative-stack"])
-def test_pooled_stats_rejects_a_malformed_pool(mu_hat, s_k, field):
-    # a pool built by hand is held to what pool() makes
+@pytest.mark.parametrize("mean, var, field", [
+    (np.zeros(4), np.ones(1), "mean and var"),
+    (np.zeros((2, 4)), np.ones(4), "mean and var"),
+    (np.float64(0.0), np.float64(1.0), "mean and var"),
+    (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4), "mean"),
+    (np.array([0.0, 0.0, -np.inf, 0.0]), np.ones(4), "mean"),
+    (np.zeros(4), np.array([np.nan, 1.0, 1.0, 1.0]), "var"),
+    (np.zeros(4), np.array([1.0, -1.0, 1.0, 1.0]), "var"),
+    (np.zeros(4), np.array([1.0, 1.0, np.inf, 0.0]), "var"),
+    (np.zeros((3, 4)), np.full((3, 4), -0.25), "var"),
+    (np.zeros(4), None, "mean and var"),
+], ids=["lengths", "stack-vector", "scalars", "nan-mu", "inf-mu", "nan-sk", "negative-sk", "inf-sk", "negative-stack",
+        "no-var"])
+def test_pooled_stats_rejects_a_malformed_pool(mean, var, field):
+    # hand-built moments are held to what moments(..., 2) makes
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        pooled_stats(PooledCoefficients(5, mu_hat, s_k), 0.05)
+        pooled_stats(Moments(5, mean, var), 0.05)
+
+
+@pytest.mark.parametrize("rows, order, match", [
+    (np.zeros(4), 2, "n x m matrix"),
+    (np.float64(1.0), 0, "n x m matrix"),
+    (np.zeros((3, 4)), 3, "order must be 0, 1 or 2"),
+    (np.zeros((3, 4)), True, "order must be 0, 1 or 2"),
+    (np.zeros((1, 4)), 2, "n >= 2"),
+    (np.zeros((2, 0, 4)), 1, "n >= 1"),
+], ids=["vector", "scalar", "order-3", "order-bool", "one-row-variance", "no-rows-mean"])
+def test_moments_rejects(rows, order, match):
+    with pytest.raises(ValueError, match=match):
+        moments(rows, order)
 
 
 def test_normal_quantile_known_values():

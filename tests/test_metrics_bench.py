@@ -546,6 +546,23 @@ def test_bench_report_rejects(field, value):
         BenchReport(**{**good, field: (value,)})
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("estimator_labels", ("a", "b"), "estimator_labels, sqrt_emse, sqrt_medmse must be of one length"),
+    ("sqrt_emse", (1.0, 2.0), "estimator_labels, sqrt_emse, sqrt_medmse must be of one length"),
+    ("sqrt_medmse", (), "estimator_labels, sqrt_emse, sqrt_medmse must be of one length"),
+    ("band_kinds", ("proposed_hard1", "proposed_hard3"), "band_kinds, coverage, mean_width must be of one length"),
+    ("coverage", (), "band_kinds, coverage, mean_width must be of one length"),
+    ("mean_width", (0.2, 0.3), "band_kinds, coverage, mean_width must be of one length"),
+    ("band_kinds", ("bootstrap",), "unknown band kind 'bootstrap'"),
+], ids=["labels-long", "emse-long", "medmse-short", "kinds-long", "coverage-short", "width-long", "unknown-kind"])
+def test_bench_report_rejects_parallel_fields_it_would_drop(field, value, match):
+    # as_dict and the bench CSV zip these tuples, so a mismatch would drop values without a word
+    good = dict(estimator_labels=("a",), sqrt_emse=(1.0,), sqrt_medmse=(0.5,), band_kinds=("proposed_hard1",),
+                coverage=(1.0,), mean_width=(0.2,), oracle_pass_rates={}, provenance={})
+    with pytest.raises(ValueError, match=match):
+        BenchReport(**{**good, field: value})
+
+
 def test_bench_report_validation():
     with pytest.raises(ValueError):
         BenchReport(estimator_labels=("a",), sqrt_emse=(-1.0,), sqrt_medmse=(0.0,),

@@ -8,13 +8,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, CurveMoments, _build_band, _competitor_bands, covers
+from curveband.bands import BAND_KINDS, COMPETITOR_KINDS, _build_band, _competitor_bands, covers
 from curveband.estimator import (
     RULE_MULTIPLIERS,
+    Moments,
     fit,
     moments,
     per_curve_coeffs,
-    pool,
     pooled_stats,
     theoretical_levels,
     truncated_target,
@@ -59,8 +59,8 @@ def test_the_mean_curve_analyses_to_the_pooled_coefficient_means(family_m, n, se
     rng = np.random.default_rng(seed)
     basis = basis_for(family, make_grid(m))
     Y = rng.normal(scale=rng.uniform(0.1, 100.0), size=m) + rng.normal(size=(n, m))
-    pooled = pool(per_curve_coeffs(CurvePanel(Y), basis)).mu_hat
-    mean, = moments(Y, 1)
+    pooled = moments(per_curve_coeffs(CurvePanel(Y), basis), 1).mean
+    mean = moments(Y, 1).mean
     assert np.max(np.abs(analyze(mean, basis) - pooled)) <= 1e-13 * np.max(np.abs(Y))
 
 
@@ -69,9 +69,9 @@ def test_the_mean_curve_analyses_to_the_pooled_coefficient_means(family_m, n, se
 def test_curve_moments_are_numpys_mean_and_variance_bit_for_bit(n, m, seed):
     rng = np.random.default_rng(seed)
     Y = rng.normal(scale=rng.uniform(0.1, 100.0), size=m) + rng.normal(size=(n, m))
-    mean, var = moments(Y, 2)
-    assert moments(Y, 0) == ()
-    np.testing.assert_array_equal(moments(Y, 1)[0], mean)
+    _, mean, var = moments(Y, 2)
+    assert moments(Y, 0) == (n, None, None)
+    np.testing.assert_array_equal(moments(Y, 1).mean, mean)
     assert mean.tobytes() == Y.mean(axis=0).tobytes()
     assert var.tobytes() == Y.var(axis=0, ddof=1).tobytes()
 
@@ -116,8 +116,15 @@ def test_each_slice_of_a_stacked_call_equals_the_single_replicate_call(family, m
         for r in range(chunk):
             assert np.array_equal(stacked[r], single[r])
 
-    for name in ("mu_hat", "s_k", "r_hat", "r_tilde"):
-        slice_equal(getattr(stats, name), [getattr(s, name) for s in singles])
+    for order in (0, 1, 2):
+        got, ones = moments(stack, order), [moments(pc, order) for pc in stack]
+        assert got.n == n and all(one.n == n for one in ones)
+        assert got[1 + order:] == (None,) * (2 - order)
+        for name in ("mean", "var")[:order]:
+            slice_equal(getattr(got, name), [getattr(one, name) for one in ones])
+    for got in (stats, pooled_stats(moments(stack, 2), alpha, delta)):
+        for name in ("mu_hat", "s_k", "r_hat", "r_tilde"):
+            slice_equal(getattr(got, name), [getattr(s, name) for s in singles])
     assert (stats.n, stats.m) == (singles[0].n, singles[0].m) == (n, m)
     for rule, multipliers in RULE_MULTIPLIERS.items():
         for k in multipliers:
@@ -141,8 +148,8 @@ def test_each_slice_of_a_stacked_call_equals_the_single_replicate_call(family, m
     # the competitor bands read the curves' moments: the pooled means stand
     # in for the mean curves, and a stacked V for the sample variance
     process = ProcessSpec(kind="bm")
-    curves = CurveMoments(n, stats.mu_hat, np.tile(process_var, (chunk, 1)))
-    ones_curves = [CurveMoments(n, s.mu_hat, process_var) for s in singles]
+    curves = Moments(n, stats.mu_hat, np.tile(process_var, (chunk, 1)))
+    ones_curves = [Moments(n, s.mu_hat, process_var) for s in singles]
 
     def every_band(stats, curves):
         built = _competitor_bands(COMPETITOR_KINDS, basis, curves, process, alpha)

@@ -216,6 +216,9 @@ def test_least_squares_in_every_family_is_the_pointwise_mean(m):
 def test_select_rejects_empty_candidates():
     with pytest.raises(ValueError):
         select(_panel(), [], seed=0)
+    # a candidate that is not a CandidateSpec is named by its index
+    with pytest.raises(ValueError, match="candidate 1 must be a CandidateSpec"):
+        select(_panel(), [CandidateSpec("fourier", "hard"), ("fourier", "hard")], seed=0)
 
 
 def test_fourier_beats_haar_on_smooth_signal():

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package and its tests is
 read by its own file, every module-level definition in the package is read
-by some package module or exported, and every default of an unexported
-package function is passed by some call.  No linter is assumed; the checks
-use only ast."""
+by some package module or exported, every default of an unexported
+package function is passed by some call, and the modules the package
+star-imports export disjoint names that each defines.  No linter is
+assumed; the checks use only ast."""
 
 import ast
 import math
@@ -24,6 +25,32 @@ def exported(tree: ast.Module) -> set:
     }
 
 
+def definitions(tree: ast.Module) -> set:
+    """The names a module binds at module level by def, class or assignment."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defined
+
+
+def export_faults(sources: dict) -> list:
+    """Names a module's __all__ lists but the module does not define, as
+    "module.name", and names two modules' __all__ lists share, as
+    "name: module, module": a star import of both keeps one without a word."""
+    owners, faults = {}, []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = exported(tree)
+        faults += [f"{module}.{name}" for name in sorted(names - definitions(tree))]
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    return faults + [f"{name}: {', '.join(mods)}" for name, mods in sorted(owners.items()) if len(mods) > 1]
+
+
 def unread_imports(source: str) -> list:
     """Names a module-level import binds that the module never loads, apart
     from the names its __all__ exports."""
@@ -42,12 +69,7 @@ def unused_definitions(sources: list) -> list:
     import alone is no use: the name must be read after it."""
     defined, used = set(), set()
     for tree in map(ast.parse, sources):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        defined |= definitions(tree)
         used |= exported(tree)
         used.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
         used.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
@@ -135,6 +157,22 @@ def test_the_check_finds_an_unpassed_default():
     )
     b = "from a import _scale\nprint(_scale(3, 2.0))\n"
     assert unpassed_defaults([a, b]) == ["_scale.clip", "_shift.wrap"]
+
+
+def test_the_check_finds_an_export_fault():
+    a = "__all__ = ['f', 'LIMIT', 'missing']\ndef f():\n    pass\nLIMIT: int = 3\n"
+    b = "from a import f\n__all__ = ['f', 'Thing']\nclass Thing:\n    pass\n"
+    c = "__all__ = ['Thing', 'g']\nThing = g = None\n"
+    assert export_faults({"a": a, "b": b, "c": c}) == ["a.missing", "b.f", "Thing: b, c", "f: a, b"]
+
+
+def test_the_star_imported_modules_export_disjoint_names_they_define():
+    init = ast.parse((ROOT / "src" / "curveband" / "__init__.py").read_text(encoding="utf-8"))
+    starred = [node.module for node in init.body
+               if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]]
+    assert len(starred) == 6
+    sources = {module: (ROOT / "src" / "curveband" / f"{module}.py").read_text(encoding="utf-8") for module in starred}
+    assert export_faults(sources) == []
 
 
 def test_every_default_of_an_unexported_package_function_is_passed():
